@@ -214,9 +214,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         direct = enumerate_expressive()
         via_closure = enumerate_expressive_by_closure()
         agree = direct == via_closure
-        if args.json:
-            pass  # folded into the JSON report below
-        else:
+        if not args.json:
             print(
                 f"cross-check: {len(direct)} by stability scan, "
                 f"{len(via_closure)} by closure fixpoints, "

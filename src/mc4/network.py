@@ -315,6 +315,8 @@ def random_network(
     stay ALL.  Pass an int (or a Generator) as ``rng`` to make the draw
     reproducible.
     """
+    if n_vertices < 1:
+        raise ValueError("a network needs at least one vertex")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     codes = np.array([int(r) for r in palette], dtype=np.uint8)

@@ -14,14 +14,14 @@ spectrum of label profiles:
   fixed core (CG, CNO, or CGPP|CGPPi).  Consistency is the absence of an
   explicit NONE label, and a one-shape canonical scenario always works.
 - solve_m99 / solve_m81: polynomial deciders for the two maximal non-trivial
-  tractable subalgebras.  Each label is translated into a small gadget over
-  three primitive constraint kinds — directed "fits inside or congruent"
-  arcs (LEQ), "congruent or mutually unembeddable" edges (EQX), and "not
-  congruent" edges (NLE) — and consistency reduces to reachability: any two
-  regions in one strong component of the LEQ digraph are forced congruent,
-  an EQX edge whose endpoints see each other through LEQ forces congruence
-  too, and a contradiction is exactly an NLE edge inside one forced-equal
-  cluster.
+  tractable subalgebras.  Each label is translated, on the network's own
+  vertices, into primitive constraints — directed "fits inside or
+  congruent" arcs (LEQ), "not congruent" edges (NLE), and for M99
+  conditional pairs (EQX) "congruent once a LEQ path links them" — and
+  consistency reduces to reachability in one packed-bitset transitive
+  closure: mutually reachable regions are forced congruent, a conditional
+  pair whose path appears forces congruence too, and a contradiction is
+  exactly an NLE edge inside one forced-equal cluster.
 
 solve() inspects the label profile via mc4.subalgebra.classify and
 dispatches to the cheapest complete decider.
@@ -44,8 +44,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .algebra import (
     Relation,
@@ -65,28 +63,35 @@ from .subalgebra import Kind, TractabilityClass, classify
 
 BASIC_CODES = (1, 2, 4, 8)
 
-# Gadget translation tables: relation code -> primitive constraints, with
-# (i, j) the ordered base pair and z a fresh auxiliary vertex.  A code maps
-# to every listed kind at once; ALL maps to nothing and is dropped.
-_M99_LEQ_FWD = (2, 3, 10, 11)      # arc i -> z for aux codes, i -> j otherwise
-_M99_LEQ_REV = (4, 5)
-_M99_LEQ_AUXREV = (12, 13)         # arc z -> i
-_M99_EQX_BASE = (8, 9)
-_M99_AUX = (10, 11, 12, 13)
-_M99_NLE = (2, 4, 8, 10, 12, 14)
-_M99_REJECT = (6, 7)
-
-_M81_LEQ_FWD = (2, 3)
-_M81_LEQ_REV = (4, 5)
-_M81_BSY = (6, 7)
-_M81_NLE = (2, 4, 6, 14)
-_M81_REJECT = (8, 9, 10, 11, 12, 13)
+# Gadget translation table: relation code -> (M99 kinds, M81 kinds), each a
+# bit set of the primitive constraints the label puts on its ordered pair
+# (i, j).  _LEQ_FWD is the arc i -> j and _LEQ_REV the arc j -> i;
+# _EQX_FWD is the conditional pair (i, j) and _EQX_REV the pair (j, i).
+# A zero entry (NONE, ALL) adds nothing; NONE pairs become bottom pairs.
+_LEQ_FWD, _LEQ_REV, _EQX_FWD, _EQX_REV, _NLE, _BSY, _REJECT = (1 << k for k in range(7))
+_GADGET_KINDS = np.array(
+    [
+        (0, 0),                                          # NONE
+        (_LEQ_FWD | _LEQ_REV, _LEQ_FWD | _LEQ_REV),      # CG
+        (_LEQ_FWD | _NLE, _LEQ_FWD | _NLE),              # CGPP
+        (_LEQ_FWD, _LEQ_FWD),                            # CG|CGPP
+        (_LEQ_REV | _NLE, _LEQ_REV | _NLE),              # CGPPi
+        (_LEQ_REV, _LEQ_REV),                            # CG|CGPPi
+        (_REJECT, _BSY | _NLE),                          # CGPP|CGPPi
+        (_REJECT, _BSY),                                 # CG|CGPP|CGPPi
+        (_EQX_FWD | _EQX_REV | _NLE, _REJECT),           # CNO
+        (_EQX_FWD | _EQX_REV, _REJECT),                  # CG|CNO
+        (_EQX_FWD | _NLE, _REJECT),                      # CGPP|CNO
+        (_EQX_FWD, _REJECT),                             # CG|CGPP|CNO
+        (_EQX_REV | _NLE, _REJECT),                      # CGPPi|CNO
+        (_EQX_REV, _REJECT),                             # CG|CGPPi|CNO
+        (_NLE, _NLE),                                    # CGPP|CGPPi|CNO
+        (0, 0),                                          # ALL
+    ],
+    dtype=np.int64,
+)
 
 _TRIVIAL_CORES = (Relation.CG, Relation.CNO, Relation.CGPP | Relation.CGPPI)
-
-# Largest vertex count handled by the pure-python strongly-connected
-# components; larger gadget graphs go through scipy's compiled routines.
-_SCIPY_MIN_VERTICES = 257
 
 
 class ProfileError(ValueError):
@@ -356,10 +361,12 @@ def solve_trivial_core(net: ConstraintNetwork, core: Relation) -> SolveOutcome:
 class GadgetGraph:
     """Primitive-constraint graph a network translates into.
 
-    Vertices 0..n_base-1 are the network's vertices in order; the rest are
-    auxiliaries introduced by single labels.  leq holds directed arcs,
-    the other arrays undirected edges; bottom holds the base pairs whose
-    label was NONE.  All arrays have shape (k, 2).
+    Vertices are the network's vertices 0..n_base-1 in order, and n_total,
+    the vertex count, equals n_base.  leq holds directed arcs
+    (i, j), "i fits inside or is congruent to j"; eqx holds directed
+    conditional pairs (a, b), "if b reaches a through LEQ arcs, a and b are
+    congruent"; nle and bsy hold undirected edges; bottom holds the pairs
+    whose label was NONE.  All arrays have shape (k, 2).
     """
 
     n_base: int
@@ -371,12 +378,6 @@ class GadgetGraph:
     bottom: np.ndarray
 
 
-def _edge_array(parts: list[np.ndarray]) -> np.ndarray:
-    if not parts:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(parts, axis=0)
-
-
 def _pair_codes(net: ConstraintNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows, cols = np.triu_indices(len(net), k=1)
     codes = net._m[rows, cols].astype(np.int64)
@@ -384,8 +385,7 @@ def _pair_codes(net: ConstraintNetwork) -> tuple[np.ndarray, np.ndarray, np.ndar
     return rows[keep].astype(np.int64), cols[keep].astype(np.int64), codes[keep]
 
 
-def _reject_profile(net, rows, cols, codes, reject, class_name) -> None:
-    bad = np.isin(codes, reject)
+def _reject_profile(net, rows, cols, codes, bad, class_name) -> None:
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
         raise ProfileError(
@@ -394,233 +394,98 @@ def _reject_profile(net, rows, cols, codes, reject, class_name) -> None:
         )
 
 
+def _to_gadget(net: ConstraintNetwork, column: int, class_name: str) -> GadgetGraph:
+    n = len(net)
+    rows, cols, codes = _pair_codes(net)
+    kinds = _GADGET_KINDS[codes, column]
+    _reject_profile(net, rows, cols, codes, (kinds & _REJECT) != 0, class_name)
+
+    def pairs(*specs: tuple[int, bool]) -> np.ndarray:
+        parts = []
+        for kind, reverse in specs:
+            m = (kinds & kind) != 0
+            a, b = (cols, rows) if reverse else (rows, cols)
+            parts.append(np.stack([a[m], b[m]], axis=1))
+        return np.concatenate(parts, axis=0)
+
+    m = codes == 0
+    return GadgetGraph(
+        n_base=n,
+        n_total=n,
+        leq=pairs((_LEQ_FWD, False), (_LEQ_REV, True)),
+        eqx=pairs((_EQX_FWD, False), (_EQX_REV, True)),
+        nle=pairs((_NLE, False)),
+        bsy=pairs((_BSY, False)),
+        bottom=np.stack([rows[m], cols[m]], axis=1),
+    )
+
+
 def to_gadget_m99(net: ConstraintNetwork) -> GadgetGraph:
     """Translate an M99-profile network into primitive constraints.
 
-    Single labels map directly (CG to a two-way LEQ arc pair, CGPP to an
-    arc plus NLE, CNO to EQX plus NLE, and so on); the four labels that are
-    compositions through an intermediate region get one auxiliary vertex z
-    each, e.g. CGPP|CNO on (i, j) becomes leq(i, z), eqx(z, j), nle(i, j).
+    Labels without CNO map to LEQ arcs and NLE edges (CG to a two-way arc
+    pair, CGPP to an arc plus NLE, and so on).  A label with CNO allows
+    the unembeddable case, which a LEQ path between its endpoints rules
+    out; it becomes conditional pairs that force congruence once such a
+    path exists.  CNO and CG|CNO on (i, j) give both pairs (i, j) and
+    (j, i); CGPP|CNO and CG|CGPP|CNO give (i, j), since a path j -> i
+    leaves only CG; CGPPi|CNO and CG|CGPPi|CNO give (j, i).
 
     Raises:
         ProfileError: on a label outside M99 (one containing exactly
             CGPP and CGPPi of the non-CG cases).
     """
-    n = len(net)
-    rows, cols, codes = _pair_codes(net)
-    _reject_profile(net, rows, cols, codes, _M99_REJECT, "the M99 subalgebra")
-    aux_mask = np.isin(codes, _M99_AUX)
-    n_aux = int(aux_mask.sum())
-    aux_id = np.full(codes.shape, -1, dtype=np.int64)
-    aux_id[aux_mask] = n + np.arange(n_aux)
-
-    leq_parts = []
-    m = codes == 1
-    leq_parts.append(np.stack([rows[m], cols[m]], axis=1))
-    leq_parts.append(np.stack([cols[m], rows[m]], axis=1))
-    m = np.isin(codes, _M99_LEQ_FWD)
-    fwd_dst = np.where(aux_mask, aux_id, cols)
-    leq_parts.append(np.stack([rows[m], fwd_dst[m]], axis=1))
-    m = np.isin(codes, _M99_LEQ_REV)
-    leq_parts.append(np.stack([cols[m], rows[m]], axis=1))
-    m = np.isin(codes, _M99_LEQ_AUXREV)
-    leq_parts.append(np.stack([aux_id[m], rows[m]], axis=1))
-
-    eqx_parts = []
-    m = np.isin(codes, _M99_EQX_BASE)
-    eqx_parts.append(np.stack([rows[m], cols[m]], axis=1))
-    eqx_parts.append(np.stack([aux_id[aux_mask], cols[aux_mask]], axis=1))
-
-    m = np.isin(codes, _M99_NLE)
-    nle = np.stack([rows[m], cols[m]], axis=1)
-    m = codes == 0
-    bottom = np.stack([rows[m], cols[m]], axis=1)
-    return GadgetGraph(
-        n_base=n,
-        n_total=n + n_aux,
-        leq=_edge_array(leq_parts),
-        eqx=_edge_array(eqx_parts),
-        nle=nle,
-        bsy=np.empty((0, 2), dtype=np.int64),
-        bottom=bottom,
-    )
+    return _to_gadget(net, 0, "the M99 subalgebra")
 
 
 def to_gadget_m81(net: ConstraintNetwork) -> GadgetGraph:
     """Translate an M81-profile network into primitive constraints.
 
-    No auxiliaries are needed: every M81 label is an intersection of LEQ
-    arcs, BSY ("congruent or one inside the other") edges and NLE edges.
+    Every M81 label is an intersection of LEQ arcs, BSY ("congruent or
+    one inside the other") edges and NLE edges; there are no conditional
+    pairs.
 
     Raises:
         ProfileError: on a label outside M81 (one pairing CNO with
             neither or both of CGPP/CGPPi absent — every code from CNO
             alone through CG|CNO mixtures).
     """
-    n = len(net)
-    rows, cols, codes = _pair_codes(net)
-    _reject_profile(net, rows, cols, codes, _M81_REJECT, "the M81 subalgebra")
-
-    leq_parts = []
-    m = codes == 1
-    leq_parts.append(np.stack([rows[m], cols[m]], axis=1))
-    leq_parts.append(np.stack([cols[m], rows[m]], axis=1))
-    m = np.isin(codes, _M81_LEQ_FWD)
-    leq_parts.append(np.stack([rows[m], cols[m]], axis=1))
-    m = np.isin(codes, _M81_LEQ_REV)
-    leq_parts.append(np.stack([cols[m], rows[m]], axis=1))
-
-    m = np.isin(codes, _M81_BSY)
-    bsy = np.stack([rows[m], cols[m]], axis=1)
-    m = np.isin(codes, _M81_NLE)
-    nle = np.stack([rows[m], cols[m]], axis=1)
-    m = codes == 0
-    bottom = np.stack([rows[m], cols[m]], axis=1)
-    return GadgetGraph(
-        n_base=n,
-        n_total=n,
-        leq=_edge_array(leq_parts),
-        eqx=np.empty((0, 2), dtype=np.int64),
-        nle=nle,
-        bsy=bsy,
-        bottom=bottom,
-    )
+    return _to_gadget(net, 1, "the M81 subalgebra")
 
 
 # ---------------------------------------------------------------------------
-# Reachability machinery
+# Reachability: packed-bitset transitive closure
 # ---------------------------------------------------------------------------
 
 
-def _scc_python(n: int, adj: list[list[int]]) -> np.ndarray:
-    """Iterative Tarjan; returns a component label per vertex."""
-    unvisited = -1
-    index = [unvisited] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp = np.zeros(n, dtype=np.int64)
-    counter = 0
-    n_comp = 0
-    for root in range(n):
-        if index[root] != unvisited:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [[root, 0]]
-        while work:
-            frame = work[-1]
-            v = frame[0]
-            nbrs = adj[v]
-            advanced = False
-            while frame[1] < len(nbrs):
-                w = nbrs[frame[1]]
-                frame[1] += 1
-                if index[w] == unvisited:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append([w, 0])
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comp
-                    if w == v:
-                        break
-                n_comp += 1
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-    return comp
+def _reaches(reach: np.ndarray, u, v):
+    """Bit (u, v) of the packed closure: does u reach v?  Vectorizes."""
+    return ((reach[u, v >> 3] >> (v & 7)) & 1).astype(bool)
 
 
-def _scc_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Strongly connected component label per vertex, backend by size."""
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if n >= _SCIPY_MIN_VERTICES:
-        graph = csr_matrix(
-            (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n)
-        )
-        _, labels = connected_components(graph, directed=True, connection="strong")
-        return labels.astype(np.int64)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for s, d in zip(src.tolist(), dst.tolist()):
-        adj[s].append(d)
-    return _scc_python(n, adj)
+def _reaching(reach: np.ndarray, v: int) -> np.ndarray:
+    """Mask of the vertices that reach v."""
+    return (reach[:, v >> 3] & (1 << (v & 7))) != 0
 
 
-def _linked_queries(
-    n_comp: int, csrc: np.ndarray, cdst: np.ndarray, qu: np.ndarray, qv: np.ndarray
-) -> np.ndarray:
-    """For each query pair of components, is one reachable from the other?
+def _closure(n: int, leq: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of the LEQ arcs (Warshall, 1962).
 
-    Queries are resolved in batches: repeatedly pick the component occurring
-    most often among the unresolved queries, compute its descendants and
-    ancestors with one breadth-first sweep each, and answer every query
-    touching it.  Dense translations concentrate on a few components, so a
-    handful of sweeps resolves everything.
+    Row u is a little-endian packed bitset of the vertices u reaches.
+    Pivoting on k ORs row k into every row that reaches k.  Once every
+    vertex reaches k and k reaches every vertex, every row is full and
+    the remaining pivots can change nothing.
     """
-    n_q = len(qu)
-    linked = np.zeros(n_q, dtype=bool)
-    if n_q == 0 or len(csrc) == 0:
-        return linked
-    if n_comp >= _SCIPY_MIN_VERTICES:
-        graph = csr_matrix(
-            (np.ones(len(csrc), dtype=np.int8), (csrc, cdst)), shape=(n_comp, n_comp)
-        )
-        graph_t = graph.T.tocsr()
-        unresolved = np.ones(n_q, dtype=bool)
-        while unresolved.any():
-            active = np.concatenate([qu[unresolved], qv[unresolved]])
-            c = int(np.bincount(active, minlength=n_comp).argmax())
-            fwd = np.zeros(n_comp, dtype=bool)
-            fwd[breadth_first_order(graph, c, return_predecessors=False)] = True
-            bwd = np.zeros(n_comp, dtype=bool)
-            bwd[breadth_first_order(graph_t, c, return_predecessors=False)] = True
-            hit_u = unresolved & (qu == c)
-            linked[hit_u] = fwd[qv[hit_u]] | bwd[qv[hit_u]]
-            hit_v = unresolved & (qv == c)
-            linked[hit_v] = fwd[qu[hit_v]] | bwd[qu[hit_v]]
-            unresolved &= ~(hit_u | hit_v)
-        return linked
-    fwd_adj: list[list[int]] = [[] for _ in range(n_comp)]
-    for s, d in zip(csrc.tolist(), cdst.tolist()):
-        fwd_adj[s].append(d)
-    desc_cache: dict[int, set[int]] = {}
-
-    def descendants(c: int) -> set[int]:
-        if c not in desc_cache:
-            seen = {c}
-            frontier = [c]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for y in fwd_adj[x]:
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            desc_cache[c] = seen
-        return desc_cache[c]
-
-    for k in range(n_q):
-        a = int(qu[k])
-        b = int(qv[k])
-        linked[k] = b in descendants(a) or a in descendants(b)
-    return linked
+    adj = np.eye(n, dtype=bool)
+    adj[leq[:, 0], leq[:, 1]] = True
+    reach = np.packbits(adj, axis=1, bitorder="little")
+    full = np.packbits(np.ones(n, dtype=bool), bitorder="little")
+    for k in range(n):
+        above = _reaching(reach, k)
+        reach[above] |= reach[k]
+        if above.all() and np.array_equal(reach[k], full):
+            break
+    return reach
 
 
 def _bottom_witness(g: GadgetGraph, names) -> dict:
@@ -628,74 +493,46 @@ def _bottom_witness(g: GadgetGraph, names) -> dict:
     return {"type": "bottom_edge", "edge": [names[i], names[j]]}
 
 
-def _cycle_chord_witness(comp: np.ndarray, g: GadgetGraph, names, u: int, v: int) -> dict:
-    cid = comp[u]
-    cluster = [names[w] for w in range(g.n_base) if comp[w] == cid]
-    return {"type": "cycle_chord", "cycle": cluster, "chord": [names[u], names[v]]}
-
-
 def detect_m99(g: GadgetGraph, names) -> tuple[bool, dict | None]:
-    """Decide an M99 gadget graph.
+    """Decide an M99 or M81 gadget graph.
 
-    Repeatedly: compute strong components of the LEQ digraph; every EQX
-    edge spanning two components where one reaches the other forces its
-    endpoints congruent (the LEQ path rules out the unembeddable case), so
-    reciprocal arcs are added and components recomputed.  Each round merges
-    at least two components, so the loop ends.  At the fixpoint the members
-    of one component are pairwise congruent in every solution, hence an NLE
-    edge inside a component is a contradiction — and absent one, reading
-    the components as congruence classes yields a solution.
+    Builds the LEQ reachability closure, then fires every conditional pair
+    (a, b) with b reaching a: the path rules out the unembeddable case, so
+    a and b are congruent, and the arcs a <-> b are added by ORing the
+    joint reach set into every row that reaches either.  Firing repeats
+    until nothing new fires.  At the fixpoint mutually reachable vertices
+    are congruent in every solution, hence an NLE edge between two of them
+    is a contradiction, and absent one, reading the mutual-reachability
+    classes as congruence classes yields a solution.  BSY edges are always
+    satisfiable within whatever the LEQ arcs allow.  An M81 graph has no
+    conditional pairs, so a single closure decides it.
     """
     if len(g.bottom):
         return False, _bottom_witness(g, names)
-    src = g.leq[:, 0]
-    dst = g.leq[:, 1]
-    eqx_u = g.eqx[:, 0]
-    eqx_v = g.eqx[:, 1]
-    while True:
-        comp = _scc_labels(g.n_total, src, dst)
-        qu = comp[eqx_u]
-        qv = comp[eqx_v]
-        pending = qu != qv
-        if not pending.any():
+    reach = _closure(g.n_base, g.leq)
+    pending = g.eqx
+    while len(pending):
+        b_to_a = _reaches(reach, pending[:, 1], pending[:, 0])
+        fire = b_to_a & ~_reaches(reach, pending[:, 0], pending[:, 1])
+        if not fire.any():
             break
-        csrc = comp[src]
-        cdst = comp[dst]
-        span = csrc != cdst
-        cond = np.unique(np.stack([csrc[span], cdst[span]], axis=1), axis=0)
-        n_comp = int(comp.max()) + 1 if len(comp) else 0
-        linked = _linked_queries(n_comp, cond[:, 0], cond[:, 1], qu[pending], qv[pending])
-        if not linked.any():
-            break
-        forced_u = eqx_u[pending][linked]
-        forced_v = eqx_v[pending][linked]
-        src = np.concatenate([src, forced_u, forced_v])
-        dst = np.concatenate([dst, forced_v, forced_u])
-    same = comp[g.nle[:, 0]] == comp[g.nle[:, 1]]
-    if same.any():
-        k = int(np.flatnonzero(same)[0])
-        u, v = (int(x) for x in g.nle[k])
-        return False, _cycle_chord_witness(comp, g, names, u, v)
-    return True, None
+        for a, b in pending[fire].tolist():
+            if not _reaches(reach, a, b):
+                joint = reach[a] | reach[b]
+                reach[_reaching(reach, a) | _reaching(reach, b)] |= joint
+        pending = pending[~b_to_a]
+    u, v = g.nle[:, 0], g.nle[:, 1]
+    same = _reaches(reach, u, v) & _reaches(reach, v, u)
+    if not same.any():
+        return True, None
+    k = int(np.flatnonzero(same)[0])
+    u, v = int(u[k]), int(v[k])
+    down = np.flatnonzero(np.unpackbits(reach[u], count=g.n_base, bitorder="little"))
+    cycle = [names[w] for w in down[_reaches(reach, down, u)]]
+    return False, {"type": "cycle_chord", "cycle": cycle, "chord": [names[u], names[v]]}
 
 
-def detect_m81(g: GadgetGraph, names) -> tuple[bool, dict | None]:
-    """Decide an M81 gadget graph.
-
-    A single strong-components pass suffices: without EQX edges nothing
-    forces congruence beyond mutual LEQ reachability, BSY edges are always
-    satisfiable within whatever the LEQ arcs allow, so the only
-    contradiction is an NLE edge inside one strong component.
-    """
-    if len(g.bottom):
-        return False, _bottom_witness(g, names)
-    comp = _scc_labels(g.n_total, g.leq[:, 0], g.leq[:, 1])
-    same = comp[g.nle[:, 0]] == comp[g.nle[:, 1]]
-    if same.any():
-        k = int(np.flatnonzero(same)[0])
-        u, v = (int(x) for x in g.nle[k])
-        return False, _cycle_chord_witness(comp, g, names, u, v)
-    return True, None
+detect_m81 = detect_m99
 
 
 def solve_m99(net: ConstraintNetwork) -> SolveOutcome:

@@ -255,6 +255,14 @@ def test_gen_rejects_unknown_palette_token(capsys):
     assert code == 2
 
 
+def test_gen_rejects_empty_network(capsys):
+    for n in ("0", "-3"):
+        code, out, err = run(capsys, "gen", "--", n)
+        assert code == 2
+        assert out == ""
+        assert "at least one vertex" in err
+
+
 # ---------------------------------------------------------------------------
 # verify / bench
 # ---------------------------------------------------------------------------

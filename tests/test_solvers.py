@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import mc4.solvers as solvers_module
 from mc4.algebra import EMPTY, UNIVERSAL, Relation
 from mc4.network import ConstraintNetwork, path_consistency, random_network
 from mc4.solvers import (
@@ -179,20 +178,18 @@ def test_gadget_m99_shapes():
         4,
         [
             (0, 1, CG),
-            (0, 2, CGPP | CNO),          # one auxiliary vertex
-            (1, 2, CNO),
-            (2, 3, CG | CGPPI | CNO),    # one auxiliary vertex
+            (0, 2, CGPP | CNO),          # conditional pair (0, 2)
+            (1, 2, CNO),                 # conditional pairs (1, 2), (2, 1)
+            (2, 3, CG | CGPPI | CNO),    # conditional pair (3, 2)
         ],
     )
     g = to_gadget_m99(net)
     assert isinstance(g, GadgetGraph)
-    assert g.n_base == 4
-    assert g.n_total == 6
+    assert g.n_total == g.n_base == 4
     assert len(g.bsy) == 0
-    # CG gives two arcs, CGPP|CNO one, CG|CGPPi|CNO one: four LEQ arcs total
-    assert len(g.leq) == 4
-    # CNO gives one base EQX edge, each auxiliary one more
-    assert len(g.eqx) == 3
+    # only CG gives LEQ arcs, one each way
+    assert len(g.leq) == 2
+    assert sorted(map(tuple, g.eqx.tolist())) == [(0, 2), (1, 2), (2, 1), (3, 2)]
     # CGPP|CNO and CNO carry NLE; CG|CGPPi|CNO does not
     assert len(g.nle) == 2
     assert len(g.bottom) == 0
@@ -292,14 +289,69 @@ def test_polynomial_deciders_match_oracle_on_random_sweeps():
             assert fn(net).consistent == solve_oracle(net).consistent
 
 
-def test_scipy_backend_agrees_with_python_backend(monkeypatch):
-    rng = np.random.default_rng(99)
-    palette = tuple(r for r in M99 if r not in (EMPTY, UNIVERSAL))
-    nets = [random_network(5, 0.9, palette, rng=rng) for _ in range(120)]
-    small_backend = [solve_m99(net).consistent for net in nets]
-    monkeypatch.setattr(solvers_module, "_SCIPY_MIN_VERTICES", 0)
-    large_backend = [solve_m99(net).consistent for net in nets]
-    assert small_backend == large_backend
+def planted_m99(n, rng):
+    """A consistent M99 network hiding the dominance preorder of n points
+    on an 8x8 grid (equal points CG, dominated CGPP, incomparable CNO),
+    each pair relaxed to a random M99 superset of its hidden base case.
+    Returns the network and the hidden case per pair."""
+    points = rng.integers(0, 8, size=(n, 2))
+    supersets = {b: [r for r in sorted(M99) if r & b] for b in (CG, CGPP, CGPPI, CNO)}
+    hidden = {}
+    constraints = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            le = bool(np.all(points[i] <= points[j]))
+            ge = bool(np.all(points[i] >= points[j]))
+            base = CG if le and ge else CGPP if le else CGPPI if ge else CNO
+            hidden[i, j] = base
+            choices = supersets[base]
+            constraints.append((i, j, choices[int(rng.integers(len(choices)))]))
+    return net_of(n, constraints), hidden
+
+
+def test_m99_agrees_with_backtracking_on_planted_networks():
+    rng = np.random.default_rng(2026)
+    verdicts = set()
+    for _ in range(12):
+        n = int(rng.integers(20, 41))
+        net, hidden = planted_m99(n, rng)
+        assert solve_m99(net).consistent
+        # tighten one label so that it excludes the hidden case
+        tightenable = []
+        for (i, j), base in hidden.items():
+            tight = Relation(int(net._m[i, j]) & ~int(base))
+            if tight != EMPTY and tight in M99:
+                tightenable.append((i, j, tight))
+        i, j, tight = tightenable[int(rng.integers(len(tightenable)))]
+        net.add_constraint(f"v{i}", f"v{j}", tight)
+        out = solve_m99(net)
+        assert out.consistent == solve_backtracking(net).consistent
+        verdicts.add(out.consistent)
+    assert False in verdicts
+
+
+def test_m99_forcing_takes_two_rounds():
+    # v2 <= v0 <= v1 turns CG|CNO on (v1, v2) into congruence; only that
+    # merge opens the path v3 <= v1 = v2 <= v4, which in turn forces
+    # CGPPi|CNO on (v3, v4) to congruence and contradicts its NLE edge
+    constraints = [
+        (0, 1, CG | CGPP),
+        (2, 0, CG | CGPP),
+        (1, 2, CG | CNO),
+        (3, 1, CG | CGPP),
+        (2, 4, CG | CGPP),
+    ]
+    net = net_of(5, constraints + [(3, 4, CGPPI | CNO)])
+    out = solve_m99(net)
+    assert not out.consistent and not solve_oracle(net).consistent
+    assert out.witness == {
+        "type": "cycle_chord",
+        "cycle": ["v0", "v1", "v2", "v3", "v4"],
+        "chord": ["v3", "v4"],
+    }
+    # with CG allowed on (v3, v4) the forced merges are all satisfiable
+    relaxed = net_of(5, constraints + [(3, 4, CG | CGPPI | CNO)])
+    assert solve_m99(relaxed).consistent and solve_oracle(relaxed).consistent
 
 
 # ---------------------------------------------------------------------------
