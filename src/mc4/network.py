@@ -47,6 +47,8 @@ from .algebra import (
 
 _CONVERSE_ARR = np.array(_CONVERSE_CODE, dtype=np.uint8)
 _POPCOUNT_ARR = np.array(_POPCOUNT, dtype=np.uint8)
+# Right-hand side of a serialized constraint line, by relation code.
+_FORMAT = tuple(" : " + format_relation(r) for r in _RELATIONS)
 
 
 class ConstraintNetwork:
@@ -236,8 +238,15 @@ def parse_network(text: str) -> ConstraintNetwork:
             self-loop whose relation excludes CG.
     """
     net: ConstraintNetwork | None = None
+    # Declarations are gathered as (lo, hi, code) with lo < hi and applied in
+    # one vectorised intersection; a file has only a few dozen distinct
+    # relation spellings, so each is parsed once.
+    codes: dict[str, int] = {}
+    lo: list[int] = []
+    hi: list[int] = []
+    vals: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if net is None:
@@ -254,28 +263,46 @@ def parse_network(text: str) -> ConstraintNetwork:
             if len(set(names)) != len(names):
                 raise ParseError("duplicate vertex name", line=lineno)
             net = ConstraintNetwork(names)
+            index = net._index
             continue
-        if ":" not in line:
+        left, colon, right = line.partition(":")
+        if not colon:
             raise ParseError("expected 'NAME NAME : RELATION'", line=lineno)
-        left, right = line.split(":", 1)
         parts = left.split()
         if len(parts) != 2:
             raise ParseError("expected exactly two vertex names before ':'", line=lineno)
         u, v = parts
-        for name in (u, v):
-            if name not in net._index:
-                raise ParseError(f"undeclared vertex {name!r}", token=name, line=lineno)
-        try:
-            rel = parse_relation(right)
-        except ParseError as exc:
-            raise ParseError(str(exc), token=exc.token, line=lineno) from None
-        if u == v and Relation.CG not in rel:
-            raise ParseError(
-                f"self-loop on {u!r} excludes CG and is unsatisfiable", token=u, line=lineno
-            )
-        net.add_constraint(u, v, rel)
+        i = index.get(u)
+        if i is None:
+            raise ParseError(f"undeclared vertex {u!r}", token=u, line=lineno)
+        j = index.get(v)
+        if j is None:
+            raise ParseError(f"undeclared vertex {v!r}", token=v, line=lineno)
+        code = codes.get(right)
+        if code is None:
+            try:
+                code = codes[right] = int(parse_relation(right))
+            except ParseError as exc:
+                raise ParseError(str(exc), token=exc.token, line=lineno) from None
+        if i > j:
+            i, j, code = j, i, _CONVERSE_CODE[code]
+        elif i == j:
+            if not code & Relation.CG:
+                raise ParseError(
+                    f"self-loop on {u!r} excludes CG and is unsatisfiable", token=u, line=lineno
+                )
+            continue
+        lo.append(i)
+        hi.append(j)
+        vals.append(code)
     if net is None:
         raise ParseError("no 'nodes:' line found")
+    if vals:
+        rows = np.array(lo, dtype=np.intp)
+        cols = np.array(hi, dtype=np.intp)
+        m = net._m
+        np.bitwise_and.at(m, (rows, cols), np.array(vals, dtype=np.uint8))
+        m[cols, rows] = _CONVERSE_ARR[m[rows, cols]]
     return net
 
 
@@ -287,13 +314,16 @@ def serialize_network(net: ConstraintNetwork) -> str:
     """
     if net._self_contradiction is not None:
         raise ValueError("network with a self-contradictory loop cannot be serialized")
-    lines = ["nodes: " + " ".join(net.names)]
-    n = len(net)
-    for i in range(n):
-        for j in range(i + 1, n):
-            code = int(net._m[i, j])
-            if code != 15:
-                lines.append(f"{net.names[i]} {net.names[j]} : {format_relation(_RELATIONS[code])}")
+    names = net.names
+    rows, cols = np.triu_indices(len(names), k=1)
+    codes = net._m[rows, cols]
+    keep = codes != 15
+    prefix = [name + " " for name in names]
+    lines = ["nodes: " + " ".join(names)]
+    lines += [
+        prefix[i] + names[j] + _FORMAT[code]
+        for i, j, code in zip(rows[keep].tolist(), cols[keep].tolist(), codes[keep].tolist())
+    ]
     return "\n".join(lines) + "\n"
 
 

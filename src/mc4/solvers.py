@@ -154,13 +154,14 @@ def _self_loop_witness(net: ConstraintNetwork) -> dict:
     return {"type": "bottom_edge", "edge": [u, u]}
 
 
+def _first_upper_pair(mask: np.ndarray) -> tuple[int, int] | None:
+    """First (i, j) with i < j and mask[i, j] set, in row-major order."""
+    hits = np.argwhere(np.triu(mask, k=1))
+    return tuple(hits[0].tolist()) if len(hits) else None
+
+
 def _first_bottom_edge(net: ConstraintNetwork) -> tuple[int, int] | None:
-    n = len(net)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not net._m[i, j]:
-                return i, j
-    return None
+    return _first_upper_pair(net._m == 0)
 
 
 def _scenario_from(net: ConstraintNetwork) -> Scenario:
@@ -326,15 +327,15 @@ def solve_trivial_core(net: ConstraintNetwork, core: Relation) -> SolveOutcome:
         return SolveOutcome(False, "trivial-core", witness=_self_loop_witness(net))
     n = len(net)
     core_code = int(core)
-    for i in range(n):
-        for j in range(i + 1, n):
-            code = int(net._m[i, j])
-            if code and code & core_code != core_code:
-                raise ProfileError(
-                    f"label {format_relation(_RELATIONS[code])} on "
-                    f"({net.names[i]}, {net.names[j]}) neither is NONE nor "
-                    f"contains {format_relation(core)}"
-                )
+    m = net._m
+    stray = _first_upper_pair((m != 0) & (m & core_code != core_code))
+    if stray is not None:
+        i, j = stray
+        raise ProfileError(
+            f"label {format_relation(_RELATIONS[int(m[i, j])])} on "
+            f"({net.names[i]}, {net.names[j]}) neither is NONE nor "
+            f"contains {format_relation(core)}"
+        )
     bottom = _first_bottom_edge(net)
     if bottom is not None:
         i, j = bottom

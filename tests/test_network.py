@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mc4.algebra import EMPTY, UNIVERSAL, ParseError, Relation, RelationSet, converse
+from mc4.algebra import (
+    EMPTY,
+    UNIVERSAL,
+    ParseError,
+    Relation,
+    RelationSet,
+    converse,
+    format_relation,
+)
 from mc4.network import (
     ConstraintNetwork,
     is_algebraically_closed,
@@ -194,25 +202,87 @@ def test_parse_self_loop_with_cg_accepted():
     assert net.self_contradiction is None
 
 
+def test_parse_later_declaration_in_converse_orientation_intersects_to_none():
+    net = parse_network("nodes: a b\na b : CG|CGPP\nb a : CGPP\n")
+    assert net.label("a", "b") == EMPTY
+    assert net.label("b", "a") == EMPTY
+
+
+_TOKEN_SPELLINGS = {CG: "CG", CGPP: "CGPP", CGPPI: "CGPPi", CNO: "CNO"}
+
+
+@st.composite
+def relation_spellings(draw):
+    """A relation and one of its accepted spellings in the text format."""
+    r = Relation(draw(st.integers(min_value=0, max_value=15)))
+    if r == EMPTY:
+        text = draw(st.sampled_from(["NONE", "none", "None"]))
+    elif r == UNIVERSAL and draw(st.booleans()):
+        text = draw(st.sampled_from(["ALL", "all"]))
+    else:
+        tokens = [
+            "CGPP-1" if base == CGPPI and draw(st.booleans()) else _TOKEN_SPELLINGS[base]
+            for base in _TOKEN_SPELLINGS
+            if base in r
+        ]
+        tokens = draw(st.permutations(tokens))
+        text = draw(st.sampled_from(["|", " | ", "|\t"])).join(tokens)
+        if draw(st.booleans()):
+            text = text.lower()
+    return r, text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_parse_matches_one_add_constraint_per_declaration(data):
+    n = data.draw(st.integers(min_value=1, max_value=30))
+    names = tuple(f"n{k}" if k % 3 else f"Reg_{k}" for k in range(n))
+    reference = ConstraintNetwork(names)
+    lines = [data.draw(st.sampled_from(["nodes: ", "NODES:\t", "  Nodes:  "])) + " ".join(names)]
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=80))):
+        i = data.draw(vertex)
+        j = data.draw(st.one_of(vertex, st.just(i)))
+        r, text = data.draw(relation_spellings())
+        if i == j and CG not in r:
+            r, text = r | CG, "CG|" + text if r else "CG"
+        reference.add_constraint(names[i], names[j], r)
+        sep = data.draw(st.sampled_from([" ", "\t", "  "]))
+        comment = data.draw(st.sampled_from(["", "  # why", "#x", "\t#"]))
+        lines.append(f"{names[i]}{sep}{names[j]}{sep}:{sep}{text}{comment}")
+        if data.draw(st.integers(min_value=0, max_value=5)) == 0:
+            lines.append(data.draw(st.sampled_from(["", "   ", "# note", "\t"])))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    net = parse_network(newline.join(lines) + newline)
+    assert net.names == names
+    assert net.self_contradiction is None
+    assert np.array_equal(net.to_array(), reference.to_array())
+
+
+_PARSE_ERRORS = [
+    ("a b : CG\n", "nodes", 1),
+    ("nodes:\n", "no vertices", 1),
+    ("nodes: a a\n", "duplicate", 1),
+    ("nodes: a b\na z : CG\n", "undeclared", 2),
+    ("nodes: a b\na z : XY\n", "undeclared", 2),
+    ("nodes: a b\na b CG\n", "NAME NAME : RELATION", 2),
+    ("nodes: a b\na b c : CG\n", "two vertex names", 2),
+    ("nodes: a b\na b : CG|XY\n", "unknown relation", 2),
+    ("nodes: a b\na a : CNO\n", "self-loop", 2),
+    ("nodes: a:b c\n", "':'", 1),
+    ("# only a comment\n", "nodes", None),
+]
+
+
+# A case is named by its text and message fragment, the expected line aside.
 @pytest.mark.parametrize(
-    "text, fragment",
-    [
-        ("a b : CG\n", "nodes"),
-        ("nodes:\n", "no vertices"),
-        ("nodes: a a\n", "duplicate"),
-        ("nodes: a b\na z : CG\n", "undeclared"),
-        ("nodes: a b\na b CG\n", "NAME NAME : RELATION"),
-        ("nodes: a b\na b c : CG\n", "two vertex names"),
-        ("nodes: a b\na b : CG|XY\n", "unknown relation"),
-        ("nodes: a b\na a : CNO\n", "self-loop"),
-        ("nodes: a:b c\n", "':'"),
-        ("# only a comment\n", "nodes"),
-    ],
+    "text, fragment, line", _PARSE_ERRORS, ids=[f"{t}-{f}" for t, f, _ in _PARSE_ERRORS]
 )
-def test_parse_errors(text, fragment):
+def test_parse_errors(text, fragment, line):
     with pytest.raises(ParseError) as info:
         parse_network(text)
     assert fragment in str(info.value)
+    assert info.value.line == line
 
 
 def test_parse_errors_carry_line_numbers():
@@ -220,6 +290,23 @@ def test_parse_errors_carry_line_numbers():
         parse_network("nodes: a b\n\na b : BOGUS\n")
     assert info.value.line == 3
     assert "line 3" in str(info.value)
+
+
+def test_parse_error_after_many_valid_lines():
+    valid = ["a b : CG|CGPP", "b a : cg", "a a : CG|CNO", "", "# note"] * 100
+    text = "nodes: a b\n" + "\n".join(valid) + "\nb a : CG|BOGUS\n"
+    with pytest.raises(ParseError) as info:
+        parse_network(text)
+    assert info.value.line == 502
+    assert info.value.token == "BOGUS"
+
+
+def test_parse_reports_the_first_of_two_bad_lines():
+    text = "nodes: a b\na b : CG\na a : CNO\na b : CG\nb z : CG\na b : XY\n"
+    with pytest.raises(ParseError) as info:
+        parse_network(text)
+    assert info.value.line == 3
+    assert "self-loop" in str(info.value)
 
 
 def test_serialize_omits_all_and_round_trips():
@@ -236,6 +323,38 @@ def test_serialize_rejects_self_contradiction():
     net.add_constraint("a", "a", CNO)
     with pytest.raises(ValueError):
         serialize_network(net)
+
+
+def naive_serialize(net):
+    lines = ["nodes: " + " ".join(net.names)]
+    for i, u in enumerate(net.names):
+        for v in net.names[i + 1 :]:
+            r = net.label(u, v)
+            if r != UNIVERSAL:
+                lines.append(f"{u} {v} : {format_relation(r)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_serialize_matches_naive_formatter(data):
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    names = data.draw(
+        st.lists(
+            st.text(alphabet="abcxyzAB_-.019é", min_size=1, max_size=6),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    density = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    drawn = random_network(n, density, tuple(Relation(c) for c in range(16)), rng=seed)
+    net = ConstraintNetwork(names)
+    for i in range(n):
+        for j in range(i + 1, n):
+            net.add_constraint(names[i], names[j], drawn.label(drawn.names[i], drawn.names[j]))
+    assert serialize_network(net) == naive_serialize(net)
 
 
 @settings(max_examples=50, deadline=None)

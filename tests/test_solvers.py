@@ -153,6 +153,17 @@ def test_trivial_core_inconsistent_only_on_explicit_bottom():
     assert out.witness == {"type": "bottom_edge", "edge": ["v1", "v2"]}
 
 
+def test_trivial_core_reports_the_first_pair_in_row_major_order():
+    # (1, 2) comes first column by column, (0, 3) comes first row by row.
+    net = net_of(4, [(1, 2, EMPTY), (0, 3, EMPTY)])
+    out = solve_trivial_core(net, CG)
+    assert out.witness == {"type": "bottom_edge", "edge": ["v0", "v3"]}
+    net = net_of(4, [(1, 2, CGPP), (0, 3, CNO), (0, 1, EMPTY)])
+    with pytest.raises(ProfileError) as info:
+        solve_trivial_core(net, CG)
+    assert str(info.value) == "label CNO on (v0, v3) neither is NONE nor contains CG"
+
+
 def test_trivial_core_profile_errors():
     net = net_of(2, [(0, 1, CGPP)])
     with pytest.raises(ProfileError):
