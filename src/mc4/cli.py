@@ -37,7 +37,7 @@ from .algebra import (
     parse_relation,
 )
 from .network import ConstraintNetwork, parse_network, random_network, serialize_network
-from .rcc5 import convert_scenario, envelope, format_rcc5, lift, to_rcc5
+from .rcc5 import Rcc5, convert_scenario, envelope, format_rcc5, lift, to_rcc5
 from .solvers import (
     ProfileError,
     SolveOutcome,
@@ -284,8 +284,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(scenario.as_json()))
     else:
-        from .rcc5 import Rcc5
-
         for i, j, code in scenario.pairs:
             print(f"{net.names[i]} {net.names[j]} : {format_rcc5(Rcc5(code))}")
     return 0

@@ -151,19 +151,27 @@ def path_consistency(net: ConstraintNetwork) -> tuple[bool, ConstraintNetwork]:
     n = len(refined)
     if refined._self_contradiction is not None:
         return False, refined
-    m = [[int(x) for x in row] for row in refined._m]
-
-    def write_back() -> None:
-        if n:
-            refined._m[:] = np.array(m, dtype=np.uint8)
-
+    m = refined._m.tolist()
     for i in range(n):
         for j in range(i + 1, n):
             if m[i][j] == 0:
                 return False, refined
+    ok = _revise(m, [(i, j) for i in range(n) for j in range(n) if i != j])
+    refined._m[:] = m
+    return ok, refined
+
+
+def _revise(m: list[list[int]], pairs: Iterable[tuple[int, int]]) -> bool:
+    """Refine the label matrix m in place from the ordered pairs to a fixpoint.
+
+    Each queued pair (i, j) refines the labels (i, k) and (k, j) of its
+    triangles, and queues each pair it changes.  Returns False at the first
+    label refined to NONE (stored on both orientations), else True.
+    """
+    n = len(m)
     compose_t = _COMPOSE_CODE
     conv = _CONVERSE_CODE
-    queue = deque((i, j) for i in range(n) for j in range(n) if i != j)
+    queue = deque(pairs)
     queued = set(queue)
     while queue:
         i, j = queue.popleft()
@@ -176,10 +184,8 @@ def path_consistency(net: ConstraintNetwork) -> tuple[bool, ConstraintNetwork]:
             new = m[i][k] & row_ij[m[j][k]]
             if new != m[i][k]:
                 if new == 0:
-                    m[i][k] = 0
-                    m[k][i] = 0
-                    write_back()
-                    return False, refined
+                    m[i][k] = m[k][i] = 0
+                    return False
                 m[i][k] = new
                 m[k][i] = conv[new]
                 if (i, k) not in queued:
@@ -188,17 +194,14 @@ def path_consistency(net: ConstraintNetwork) -> tuple[bool, ConstraintNetwork]:
             new = m[k][j] & compose_t[m[k][i]][rij]
             if new != m[k][j]:
                 if new == 0:
-                    m[k][j] = 0
-                    m[j][k] = 0
-                    write_back()
-                    return False, refined
+                    m[k][j] = m[j][k] = 0
+                    return False
                 m[k][j] = new
                 m[j][k] = conv[new]
                 if (k, j) not in queued:
                     queue.append((k, j))
                     queued.add((k, j))
-    write_back()
-    return True, refined
+    return True
 
 
 def is_algebraically_closed(net: ConstraintNetwork) -> bool:

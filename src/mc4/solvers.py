@@ -9,7 +9,9 @@ spectrum of label profiles:
   on any profile, exponential, and capped at a handful of vertices; it is
   the ground truth everything else is compared against.
 - solve_backtracking: path consistency plus branching on disjunctive
-  labels.  Complete on any profile and fast at desk scale.
+  labels.  Full path consistency runs once, at the root; after that each
+  branch propagates only from the pair it narrowed.  Complete on any
+  profile and fast at desk scale.
 - solve_trivial_core: profiles whose every label is NONE or contains a
   fixed core (CG, CNO, or CGPP|CGPPi).  Consistency is the absence of an
   explicit NONE label, and a one-shape canonical scenario always works.
@@ -55,6 +57,7 @@ from .algebra import (
 )
 from .network import (
     ConstraintNetwork,
+    _revise,
     is_algebraically_closed,
     path_consistency,
     random_network,
@@ -67,8 +70,9 @@ BASIC_CODES = (1, 2, 4, 8)
 # bit set of the primitive constraints the label puts on its ordered pair
 # (i, j).  _LEQ_FWD is the arc i -> j and _LEQ_REV the arc j -> i;
 # _EQX_FWD is the conditional pair (i, j) and _EQX_REV the pair (j, i).
-# A zero entry (NONE, ALL) adds nothing; NONE pairs become bottom pairs.
-_LEQ_FWD, _LEQ_REV, _EQX_FWD, _EQX_REV, _NLE, _BSY, _REJECT = (1 << k for k in range(7))
+# A zero entry (NONE, ALL, and CG|CGPP|CGPPi in M81) adds nothing; NONE
+# pairs become bottom pairs.
+_LEQ_FWD, _LEQ_REV, _EQX_FWD, _EQX_REV, _NLE, _REJECT = (1 << k for k in range(6))
 _GADGET_KINDS = np.array(
     [
         (0, 0),                                          # NONE
@@ -77,8 +81,8 @@ _GADGET_KINDS = np.array(
         (_LEQ_FWD, _LEQ_FWD),                            # CG|CGPP
         (_LEQ_REV | _NLE, _LEQ_REV | _NLE),              # CGPPi
         (_LEQ_REV, _LEQ_REV),                            # CG|CGPPi
-        (_REJECT, _BSY | _NLE),                          # CGPP|CGPPi
-        (_REJECT, _BSY),                                 # CG|CGPP|CGPPi
+        (_REJECT, _NLE),                                 # CGPP|CGPPi
+        (_REJECT, 0),                                    # CG|CGPP|CGPPi
         (_EQX_FWD | _EQX_REV | _NLE, _REJECT),           # CNO
         (_EQX_FWD | _EQX_REV, _REJECT),                  # CG|CNO
         (_EQX_FWD | _NLE, _REJECT),                      # CGPP|CNO
@@ -91,7 +95,8 @@ _GADGET_KINDS = np.array(
     dtype=np.int64,
 )
 
-_TRIVIAL_CORES = (Relation.CG, Relation.CNO, Relation.CGPP | Relation.CGPPI)
+# Trivial core -> the base case every pair takes in its canonical scenario.
+_TRIVIAL_CORES = {Relation.CG: 1, Relation.CNO: 8, Relation.CGPP | Relation.CGPPI: 2}
 
 
 class ProfileError(ValueError):
@@ -164,12 +169,10 @@ def _first_bottom_edge(net: ConstraintNetwork) -> tuple[int, int] | None:
     return _first_upper_pair(net._m == 0)
 
 
-def _scenario_from(net: ConstraintNetwork) -> Scenario:
-    n = len(net)
-    pairs = tuple(
-        (i, j, int(net._m[i, j])) for i in range(n) for j in range(i + 1, n)
-    )
-    return Scenario(pairs)
+def _scenario_of(m: list[list[int]]) -> Scenario:
+    """Scenario read from the upper triangle of an atomic label matrix."""
+    n = len(m)
+    return Scenario(tuple((i, j, m[i][j]) for i in range(n) for j in range(i + 1, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +234,7 @@ def solve_oracle(net: ConstraintNetwork, max_vertices: int = 6) -> SolveOutcome:
         return False
 
     if dfs(0):
-        pairs_out = tuple(
-            (i, j, sol[i][j]) for i in range(n) for j in range(i + 1, n)
-        )
-        return SolveOutcome(True, "oracle", scenario=Scenario(pairs_out))
+        return SolveOutcome(True, "oracle", scenario=_scenario_of(sol))
     return SolveOutcome(
         False, "oracle", witness={"type": "search_exhausted", "explored": explored}
     )
@@ -248,9 +248,12 @@ def solve_oracle(net: ConstraintNetwork, max_vertices: int = 6) -> SolveOutcome:
 def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
     """Complete solver: path consistency interleaved with label branching.
 
-    Branches on the pair with the fewest remaining base cases (ties to the
+    Runs full path consistency once, at the root.  The search then branches
+    on the pair with the fewest remaining base cases (ties to the
     lexicographically first pair), trying base cases in canonical order,
-    and re-runs path consistency after each commitment.
+    and after each commitment propagates only from the pair it narrowed:
+    the parent is at the path-consistency fixpoint, so only the triangles
+    through that pair can break.
     """
     if net.self_contradiction is not None:
         return SolveOutcome(False, "backtracking", witness=_self_loop_witness(net))
@@ -259,16 +262,16 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
         i, j = _first_bottom_edge(refined)
         witness = {"type": "bottom_edge", "edge": [net.names[i], net.names[j]]}
         return SolveOutcome(False, "backtracking", witness=witness)
+    n = len(net)
     explored = 0
 
-    def search(cur: ConstraintNetwork) -> ConstraintNetwork | None:
+    def search(cur: list[list[int]]) -> list[list[int]] | None:
         nonlocal explored
-        n = len(cur)
         best = None
         best_card = 5
-        for i in range(n):
+        for i, row in enumerate(cur):
             for j in range(i + 1, n):
-                card = _POPCOUNT[int(cur._m[i, j])]
+                card = _POPCOUNT[row[j]]
                 if 2 <= card < best_card:
                     best = (i, j)
                     best_card = card
@@ -279,24 +282,23 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
         if best is None:
             return cur
         i, j = best
-        label = int(cur._m[i, j])
+        label = cur[i][j]
         for v in BASIC_CODES:
             if not label & v:
                 continue
             explored += 1
-            child = cur.copy()
-            child._m[i, j] = v
-            child._m[j, i] = _CONVERSE_CODE[v]
-            ok_child, closed = path_consistency(child)
-            if ok_child:
-                found = search(closed)
+            child = [row[:] for row in cur]
+            child[i][j] = v
+            child[j][i] = _CONVERSE_CODE[v]
+            if _revise(child, [(i, j), (j, i)]):
+                found = search(child)
                 if found is not None:
                     return found
         return None
 
-    result = search(refined)
+    result = search(refined._m.tolist())
     if result is not None:
-        return SolveOutcome(True, "backtracking", scenario=_scenario_from(result))
+        return SolveOutcome(True, "backtracking", scenario=_scenario_of(result))
     return SolveOutcome(
         False,
         "backtracking",
@@ -327,6 +329,7 @@ def solve_trivial_core(net: ConstraintNetwork, core: Relation) -> SolveOutcome:
         return SolveOutcome(False, "trivial-core", witness=_self_loop_witness(net))
     n = len(net)
     core_code = int(core)
+    scenario_code = _TRIVIAL_CORES[core]
     m = net._m
     stray = _first_upper_pair((m != 0) & (m & core_code != core_code))
     if stray is not None:
@@ -341,15 +344,7 @@ def solve_trivial_core(net: ConstraintNetwork, core: Relation) -> SolveOutcome:
         i, j = bottom
         witness = {"type": "bottom_edge", "edge": [net.names[i], net.names[j]]}
         return SolveOutcome(False, "trivial-core", witness=witness)
-    if core is Relation.CG:
-        fill = lambda i, j: 1
-    elif core is Relation.CNO:
-        fill = lambda i, j: 8
-    else:
-        fill = lambda i, j: 2
-    pairs = tuple(
-        (i, j, fill(i, j)) for i in range(n) for j in range(i + 1, n)
-    )
+    pairs = tuple((i, j, scenario_code) for i in range(n) for j in range(i + 1, n))
     return SolveOutcome(True, "trivial-core", scenario=Scenario(pairs))
 
 
@@ -366,8 +361,10 @@ class GadgetGraph:
     the vertex count, equals n_base.  leq holds directed arcs
     (i, j), "i fits inside or is congruent to j"; eqx holds directed
     conditional pairs (a, b), "if b reaches a through LEQ arcs, a and b are
-    congruent"; nle and bsy hold undirected edges; bottom holds the pairs
-    whose label was NONE.  All arrays have shape (k, 2).
+    congruent"; nle holds undirected "not congruent" edges; bottom holds
+    the pairs whose label was NONE.  All arrays have shape (k, 2).  A
+    label's "congruent or one inside the other" part (BSY) adds no
+    constraint, because it can always be satisfied.
     """
 
     n_base: int
@@ -375,7 +372,6 @@ class GadgetGraph:
     leq: np.ndarray
     eqx: np.ndarray
     nle: np.ndarray
-    bsy: np.ndarray
     bottom: np.ndarray
 
 
@@ -416,7 +412,6 @@ def _to_gadget(net: ConstraintNetwork, column: int, class_name: str) -> GadgetGr
         leq=pairs((_LEQ_FWD, False), (_LEQ_REV, True)),
         eqx=pairs((_EQX_FWD, False), (_EQX_REV, True)),
         nle=pairs((_NLE, False)),
-        bsy=pairs((_BSY, False)),
         bottom=np.stack([rows[m], cols[m]], axis=1),
     )
 
@@ -444,7 +439,8 @@ def to_gadget_m81(net: ConstraintNetwork) -> GadgetGraph:
 
     Every M81 label is an intersection of LEQ arcs, BSY ("congruent or
     one inside the other") edges and NLE edges; there are no conditional
-    pairs.
+    pairs.  BSY edges are always satisfiable within whatever the LEQ arcs
+    allow, so they are left out of the graph.
 
     Raises:
         ProfileError: on a label outside M81 (one pairing CNO with

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from mc4.algebra import EMPTY, UNIVERSAL, Relation
-from mc4.network import ConstraintNetwork, path_consistency, random_network
+from mc4.algebra import EMPTY, UNIVERSAL, Relation, basics, cardinality
+from mc4.network import ConstraintNetwork, _revise, path_consistency, random_network
 from mc4.solvers import (
     GadgetGraph,
     ProfileError,
@@ -36,6 +36,19 @@ def net_of(n, constraints):
     for i, j, r in constraints:
         net.add_constraint(names[i], names[j], r)
     return net
+
+
+def cno_chord_cycle(n, chord=lambda: CNO):
+    """CGPP|CGPPi around the cycle v0..v{n-1} and chord() on every other
+    pair; with CNO chords, the cycle family of search_pc_incompleteness."""
+    return net_of(
+        n,
+        [
+            (i, j, CGPP | CGPPI if j == i + 1 or (i, j) == (0, n - 1) else chord())
+            for i in range(n)
+            for j in range(i + 1, n)
+        ],
+    )
 
 
 def containment_cycle():
@@ -123,6 +136,115 @@ def test_backtracking_bottom_witness_names_the_edge():
     assert out.witness["edge"] == ["v0", "v2"]
 
 
+def test_revise_from_the_narrowed_pair_matches_full_path_consistency():
+    # Narrowing one pair of a path-consistent network and propagating from
+    # that pair alone must reach the fixpoint full path consistency reaches.
+    # Each step narrows a random open pair to each of its base cases and
+    # walks on from a random child that survives.  On a contradiction only
+    # the verdict is compared: which label turns NONE first depends on the
+    # propagation order.
+    rng = np.random.default_rng(31)
+    palette = tuple(Relation(c) for c in range(1, 15))
+    nets = [random_network(int(rng.integers(3, 10)), 0.6, palette, rng=rng) for _ in range(40)]
+    nets += [cno_chord_cycle(n) for n in range(5, 9)]
+    verdicts = set()
+    for net in nets:
+        ok, closed = path_consistency(net)
+        while ok:
+            m = closed.to_array()
+            n = len(m)
+            open_pairs = [
+                (i, j) for i in range(n) for j in range(i + 1, n) if cardinality(Relation(m[i, j])) > 1
+            ]
+            if not open_pairs:
+                break
+            i, j = open_pairs[int(rng.integers(len(open_pairs)))]
+            survivors = []
+            for base in basics(Relation(m[i, j])):
+                child = closed.copy()
+                child.add_constraint(child.names[i], child.names[j], base)
+                expected_ok, expected = path_consistency(child)
+                labels = child.to_array().tolist()
+                assert _revise(labels, [(i, j), (j, i)]) == expected_ok
+                verdicts.add(expected_ok)
+                if expected_ok:
+                    assert labels == expected.to_array().tolist()
+                    survivors.append(expected)
+            ok = bool(survivors)
+            if ok:
+                closed = survivors[int(rng.integers(len(survivors)))]
+    assert verdicts == {True, False}
+
+
+def reference_backtracking(net):
+    """The search with a full path-consistency run at every node: copy the
+    network, commit one base case, close it again.  Returns (consistent,
+    scenario pairs, explored), or None in place of explored when the root
+    already fails path consistency."""
+    explored = 0
+
+    def search(cur):
+        nonlocal explored
+        m = cur.to_array()
+        n = len(cur)
+        open_pairs = [
+            (cardinality(Relation(m[i, j])), i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if cardinality(Relation(m[i, j])) > 1
+        ]
+        if not open_pairs:
+            return cur
+        _, i, j = min(open_pairs)
+        for base in basics(Relation(m[i, j])):
+            explored += 1
+            child = cur.copy()
+            child.add_constraint(cur.names[i], cur.names[j], base)
+            ok, closed = path_consistency(child)
+            if ok:
+                found = search(closed)
+                if found is not None:
+                    return found
+        return None
+
+    ok, refined = path_consistency(net)
+    if not ok:
+        return False, None, None
+    found = search(refined)
+    if found is None:
+        return False, None, explored
+    m = found.to_array()
+    n = len(net)
+    return True, tuple((i, j, int(m[i, j])) for i in range(n) for j in range(i + 1, n)), explored
+
+
+def test_backtracking_matches_the_full_path_consistency_search():
+    rng = np.random.default_rng(9)
+    palette = tuple(Relation(c) for c in range(1, 15))
+    nets = [
+        random_network(int(rng.integers(3, 13)), float(rng.uniform(0.3, 0.9)), palette, rng=rng)
+        for _ in range(150)
+    ]
+    chords = (CNO, CNO, CNO, CGPP | CGPPI | CNO, CGPP | CGPPI)
+    for n in range(5, 9):
+        nets.append(cno_chord_cycle(n))
+        for _ in range(10):
+            nets.append(cno_chord_cycle(n, lambda: chords[int(rng.integers(len(chords)))]))
+    witnesses = set()
+    for net in nets:
+        consistent, pairs, explored = reference_backtracking(net)
+        out = solve_backtracking(net)
+        assert out.consistent == consistent
+        if consistent:
+            assert out.scenario.pairs == pairs
+        elif explored is None:
+            assert out.witness["type"] == "bottom_edge"
+        else:
+            assert out.witness == {"type": "search_exhausted", "explored": explored}
+        witnesses.add(out.witness["type"] if out.witness else None)
+    assert witnesses == {None, "bottom_edge", "search_exhausted"}
+
+
 def test_backtracking_matches_oracle_on_random_sweep():
     rng = np.random.default_rng(123)
     palette = tuple(Relation(c) for c in range(1, 15))
@@ -197,7 +319,6 @@ def test_gadget_m99_shapes():
     g = to_gadget_m99(net)
     assert isinstance(g, GadgetGraph)
     assert g.n_total == g.n_base == 4
-    assert len(g.bsy) == 0
     # only CG gives LEQ arcs, one each way
     assert len(g.leq) == 2
     assert sorted(map(tuple, g.eqx.tolist())) == [(0, 2), (1, 2), (2, 1), (3, 2)]
@@ -221,7 +342,6 @@ def test_gadget_m81_shapes():
     g = to_gadget_m81(net)
     assert g.n_total == g.n_base == 3
     assert len(g.leq) == 1
-    assert len(g.bsy) == 1
     assert len(g.nle) == 1
     assert [int(x) for x in g.bottom[0]] == [0, 2]
 
@@ -300,13 +420,13 @@ def test_polynomial_deciders_match_oracle_on_random_sweeps():
             assert fn(net).consistent == solve_oracle(net).consistent
 
 
-def planted_m99(n, rng):
-    """A consistent M99 network hiding the dominance preorder of n points
-    on an 8x8 grid (equal points CG, dominated CGPP, incomparable CNO),
-    each pair relaxed to a random M99 superset of its hidden base case.
-    Returns the network and the hidden case per pair."""
+def planted_network(n, rng, catalog):
+    """A consistent network hiding the dominance preorder of n points on an
+    8x8 grid (equal points CG, dominated CGPP, incomparable CNO), each pair
+    relaxed to a random superset of its hidden base case taken from the
+    catalog.  Returns the network and the hidden case per pair."""
     points = rng.integers(0, 8, size=(n, 2))
-    supersets = {b: [r for r in sorted(M99) if r & b] for b in (CG, CGPP, CGPPI, CNO)}
+    supersets = {b: [r for r in sorted(catalog) if r & b] for b in (CG, CGPP, CGPPI, CNO)}
     hidden = {}
     constraints = []
     for i in range(n):
@@ -325,7 +445,7 @@ def test_m99_agrees_with_backtracking_on_planted_networks():
     verdicts = set()
     for _ in range(12):
         n = int(rng.integers(20, 41))
-        net, hidden = planted_m99(n, rng)
+        net, hidden = planted_network(n, rng, M99)
         assert solve_m99(net).consistent
         # tighten one label so that it excludes the hidden case
         tightenable = []
@@ -339,6 +459,16 @@ def test_m99_agrees_with_backtracking_on_planted_networks():
         assert out.consistent == solve_backtracking(net).consistent
         verdicts.add(out.consistent)
     assert False in verdicts
+
+
+def test_solve_finds_valid_scenarios_on_planted_general_networks():
+    rng = np.random.default_rng(2027)
+    catalog = tuple(Relation(c) for c in range(16))
+    for _ in range(12):
+        net, _ = planted_network(int(rng.integers(20, 41)), rng, catalog)
+        out = solve(net)
+        assert out.classification.kind is Kind.NP_HARD
+        assert out.consistent and is_valid_scenario(net, out.scenario)
 
 
 def test_m99_forcing_takes_two_rounds():
