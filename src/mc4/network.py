@@ -45,6 +45,7 @@ from .algebra import (
     parse_relation,
 )
 
+_COMPOSE_ARR = np.array(_COMPOSE_CODE, dtype=np.uint8)
 _CONVERSE_ARR = np.array(_CONVERSE_CODE, dtype=np.uint8)
 _POPCOUNT_ARR = np.array(_POPCOUNT, dtype=np.uint8)
 # Right-hand side of a serialized constraint line, by relation code.
@@ -209,21 +210,18 @@ def is_algebraically_closed(net: ConstraintNetwork) -> bool:
 
     The condition is label(i,j) contained in compose(label(i,k), label(k,j))
     for all triples; on atomic networks it coincides with the
-    path_consistency fixpoint reporting ok.
+    path_consistency fixpoint reporting ok.  It is checked one pivot k at a
+    time over the whole matrix: the terms with i == k, j == k or i == j
+    hold trivially once no label is NONE.
     """
     if net._self_contradiction is not None:
         return False
-    n = len(net)
-    m = [[int(x) for x in row] for row in net._m]
-    for i in range(n):
-        for j in range(n):
-            if i != j and m[i][j] == 0:
-                return False
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if m[i][j] & ~_COMPOSE_CODE[m[i][k]][m[k][j]]:
-                    return False
+    m = net._m
+    if not m.all():
+        return False
+    for k in range(len(net)):
+        if (m & ~_COMPOSE_ARR[m[:, k, None], m[k]]).any():
+            return False
     return True
 
 

@@ -60,39 +60,39 @@ from .network import (
     _revise,
     is_algebraically_closed,
     path_consistency,
-    random_network,
 )
 from .subalgebra import Kind, TractabilityClass, classify
 
 BASIC_CODES = (1, 2, 4, 8)
 
 # Gadget translation table: relation code -> (M99 kinds, M81 kinds), each a
-# bit set of the primitive constraints the label puts on its ordered pair
-# (i, j).  _LEQ_FWD is the arc i -> j and _LEQ_REV the arc j -> i;
-# _EQX_FWD is the conditional pair (i, j) and _EQX_REV the pair (j, i).
-# A zero entry (NONE, ALL, and CG|CGPP|CGPPi in M81) adds nothing; NONE
-# pairs become bottom pairs.
-_LEQ_FWD, _LEQ_REV, _EQX_FWD, _EQX_REV, _NLE, _REJECT = (1 << k for k in range(6))
+# bit set of the primitive constraints the label on (i, j) puts on that
+# ordered pair: _LEQ the arc i -> j, _EQX the conditional pair (i, j), _NLE
+# a "not congruent" edge.  The label on (j, i) is the converse, so its row
+# supplies the reverse arc and pair: CGPPi gets only _NLE, because its arc
+# comes from the CGPP on the converse side.  A zero entry (NONE, ALL, and
+# CG|CGPP|CGPPi in M81) adds nothing; NONE pairs become bottom pairs.
+_LEQ, _EQX, _NLE, _REJECT = (1 << k for k in range(4))
 _GADGET_KINDS = np.array(
     [
-        (0, 0),                                          # NONE
-        (_LEQ_FWD | _LEQ_REV, _LEQ_FWD | _LEQ_REV),      # CG
-        (_LEQ_FWD | _NLE, _LEQ_FWD | _NLE),              # CGPP
-        (_LEQ_FWD, _LEQ_FWD),                            # CG|CGPP
-        (_LEQ_REV | _NLE, _LEQ_REV | _NLE),              # CGPPi
-        (_LEQ_REV, _LEQ_REV),                            # CG|CGPPi
-        (_REJECT, _NLE),                                 # CGPP|CGPPi
-        (_REJECT, 0),                                    # CG|CGPP|CGPPi
-        (_EQX_FWD | _EQX_REV | _NLE, _REJECT),           # CNO
-        (_EQX_FWD | _EQX_REV, _REJECT),                  # CG|CNO
-        (_EQX_FWD | _NLE, _REJECT),                      # CGPP|CNO
-        (_EQX_FWD, _REJECT),                             # CG|CGPP|CNO
-        (_EQX_REV | _NLE, _REJECT),                      # CGPPi|CNO
-        (_EQX_REV, _REJECT),                             # CG|CGPPi|CNO
-        (_NLE, _NLE),                                    # CGPP|CGPPi|CNO
-        (0, 0),                                          # ALL
+        (0, 0),                          # NONE
+        (_LEQ, _LEQ),                    # CG
+        (_LEQ | _NLE, _LEQ | _NLE),      # CGPP
+        (_LEQ, _LEQ),                    # CG|CGPP
+        (_NLE, _NLE),                    # CGPPi
+        (0, 0),                          # CG|CGPPi
+        (_REJECT, _NLE),                 # CGPP|CGPPi
+        (_REJECT, 0),                    # CG|CGPP|CGPPi
+        (_EQX | _NLE, _REJECT),          # CNO
+        (_EQX, _REJECT),                 # CG|CNO
+        (_EQX | _NLE, _REJECT),          # CGPP|CNO
+        (_EQX, _REJECT),                 # CG|CGPP|CNO
+        (_NLE, _REJECT),                 # CGPPi|CNO
+        (0, _REJECT),                    # CG|CGPPi|CNO
+        (_NLE, _NLE),                    # CGPP|CGPPi|CNO
+        (0, 0),                          # ALL
     ],
-    dtype=np.int64,
+    dtype=np.uint8,
 )
 
 # Trivial core -> the base case every pair takes in its canonical scenario.
@@ -161,8 +161,11 @@ def _self_loop_witness(net: ConstraintNetwork) -> dict:
 
 def _first_upper_pair(mask: np.ndarray) -> tuple[int, int] | None:
     """First (i, j) with i < j and mask[i, j] set, in row-major order."""
-    hits = np.argwhere(np.triu(mask, k=1))
-    return tuple(hits[0].tolist()) if len(hits) else None
+    upper = np.triu(mask, k=1).ravel()
+    if not upper.size:
+        return None
+    k = int(upper.argmax())
+    return divmod(k, len(mask)) if upper[k] else None
 
 
 def _first_bottom_edge(net: ConstraintNetwork) -> tuple[int, int] | None:
@@ -357,62 +360,36 @@ def solve_trivial_core(net: ConstraintNetwork, core: Relation) -> SolveOutcome:
 class GadgetGraph:
     """Primitive-constraint graph a network translates into.
 
-    Vertices are the network's vertices 0..n_base-1 in order, and n_total,
-    the vertex count, equals n_base.  leq holds directed arcs
-    (i, j), "i fits inside or is congruent to j"; eqx holds directed
-    conditional pairs (a, b), "if b reaches a through LEQ arcs, a and b are
-    congruent"; nle holds undirected "not congruent" edges; bottom holds
-    the pairs whose label was NONE.  All arrays have shape (k, 2).  A
-    label's "congruent or one inside the other" part (BSY) adds no
-    constraint, because it can always be satisfied.
+    Four n-by-n boolean masks over the network's vertices.  leq[i, j] is
+    the arc "i fits inside or is congruent to j" (every vertex has its
+    loop); eqx[a, b] is the conditional pair "if b reaches a through LEQ
+    arcs, a and b are congruent"; nle is the symmetric "not congruent"
+    relation; bottom marks the pairs whose label was NONE.  A label's
+    "congruent or one inside the other" part (BSY) adds no constraint,
+    because it can always be satisfied.
     """
 
-    n_base: int
-    n_total: int
     leq: np.ndarray
     eqx: np.ndarray
     nle: np.ndarray
     bottom: np.ndarray
 
 
-def _pair_codes(net: ConstraintNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows, cols = np.triu_indices(len(net), k=1)
-    codes = net._m[rows, cols].astype(np.int64)
-    keep = codes != 15
-    return rows[keep].astype(np.int64), cols[keep].astype(np.int64), codes[keep]
-
-
-def _reject_profile(net, rows, cols, codes, bad, class_name) -> None:
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        raise ProfileError(
-            f"label {format_relation(_RELATIONS[int(codes[k])])} on "
-            f"({net.names[int(rows[k])]}, {net.names[int(cols[k])]}) is outside {class_name}"
-        )
-
-
 def _to_gadget(net: ConstraintNetwork, column: int, class_name: str) -> GadgetGraph:
-    n = len(net)
-    rows, cols, codes = _pair_codes(net)
-    kinds = _GADGET_KINDS[codes, column]
-    _reject_profile(net, rows, cols, codes, (kinds & _REJECT) != 0, class_name)
-
-    def pairs(*specs: tuple[int, bool]) -> np.ndarray:
-        parts = []
-        for kind, reverse in specs:
-            m = (kinds & kind) != 0
-            a, b = (cols, rows) if reverse else (rows, cols)
-            parts.append(np.stack([a[m], b[m]], axis=1))
-        return np.concatenate(parts, axis=0)
-
-    m = codes == 0
+    m = net._m
+    kinds = _GADGET_KINDS[:, column][m]
+    bad = _first_upper_pair((kinds & _REJECT) != 0)
+    if bad is not None:
+        i, j = bad
+        raise ProfileError(
+            f"label {format_relation(_RELATIONS[int(m[i, j])])} on "
+            f"({net.names[i]}, {net.names[j]}) is outside {class_name}"
+        )
     return GadgetGraph(
-        n_base=n,
-        n_total=n,
-        leq=pairs((_LEQ_FWD, False), (_LEQ_REV, True)),
-        eqx=pairs((_EQX_FWD, False), (_EQX_REV, True)),
-        nle=pairs((_NLE, False)),
-        bottom=np.stack([rows[m], cols[m]], axis=1),
+        leq=(kinds & _LEQ) != 0,
+        eqx=(kinds & _EQX) != 0,
+        nle=(kinds & _NLE) != 0,
+        bottom=m == 0,
     )
 
 
@@ -423,9 +400,10 @@ def to_gadget_m99(net: ConstraintNetwork) -> GadgetGraph:
     pair, CGPP to an arc plus NLE, and so on).  A label with CNO allows
     the unembeddable case, which a LEQ path between its endpoints rules
     out; it becomes conditional pairs that force congruence once such a
-    path exists.  CNO and CG|CNO on (i, j) give both pairs (i, j) and
-    (j, i); CGPP|CNO and CG|CGPP|CNO give (i, j), since a path j -> i
-    leaves only CG; CGPPi|CNO and CG|CGPPi|CNO give (j, i).
+    path exists.  CNO and CG|CNO on (i, j) set eqx at both (i, j) and
+    (j, i); CGPP|CNO and CG|CGPP|CNO set (i, j), since a path j -> i
+    leaves only CG; CGPPi|CNO and CG|CGPPi|CNO set (j, i).  Each mask is
+    read from the label matrix with one table lookup.
 
     Raises:
         ProfileError: on a label outside M99 (one containing exactly
@@ -439,8 +417,8 @@ def to_gadget_m81(net: ConstraintNetwork) -> GadgetGraph:
 
     Every M81 label is an intersection of LEQ arcs, BSY ("congruent or
     one inside the other") edges and NLE edges; there are no conditional
-    pairs.  BSY edges are always satisfiable within whatever the LEQ arcs
-    allow, so they are left out of the graph.
+    pairs, so eqx is all False.  BSY edges are always satisfiable within
+    whatever the LEQ arcs allow, so they are left out of the graph.
 
     Raises:
         ProfileError: on a label outside M81 (one pairing CNO with
@@ -465,17 +443,16 @@ def _reaching(reach: np.ndarray, v: int) -> np.ndarray:
     return (reach[:, v >> 3] & (1 << (v & 7))) != 0
 
 
-def _closure(n: int, leq: np.ndarray) -> np.ndarray:
+def _closure(leq: np.ndarray) -> np.ndarray:
     """Reflexive-transitive closure of the LEQ arcs (Warshall, 1962).
 
     Row u is a little-endian packed bitset of the vertices u reaches.
     Pivoting on k ORs row k into every row that reaches k.  Once every
     vertex reaches k and k reaches every vertex, every row is full and
-    the remaining pivots can change nothing.
+    the remaining pivots can change nothing.  leq must hold every loop.
     """
-    adj = np.eye(n, dtype=bool)
-    adj[leq[:, 0], leq[:, 1]] = True
-    reach = np.packbits(adj, axis=1, bitorder="little")
+    n = len(leq)
+    reach = np.packbits(leq, axis=1, bitorder="little")
     full = np.packbits(np.ones(n, dtype=bool), bitorder="little")
     for k in range(n):
         above = _reaching(reach, k)
@@ -485,29 +462,29 @@ def _closure(n: int, leq: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _bottom_witness(g: GadgetGraph, names) -> dict:
-    i, j = (int(x) for x in g.bottom[0])
-    return {"type": "bottom_edge", "edge": [names[i], names[j]]}
-
-
 def detect_m99(g: GadgetGraph, names) -> tuple[bool, dict | None]:
     """Decide an M99 or M81 gadget graph.
 
-    Builds the LEQ reachability closure, then fires every conditional pair
-    (a, b) with b reaching a: the path rules out the unembeddable case, so
-    a and b are congruent, and the arcs a <-> b are added by ORing the
-    joint reach set into every row that reaches either.  Firing repeats
-    until nothing new fires.  At the fixpoint mutually reachable vertices
-    are congruent in every solution, hence an NLE edge between two of them
-    is a contradiction, and absent one, reading the mutual-reachability
-    classes as congruence classes yields a solution.  BSY edges are always
-    satisfiable within whatever the LEQ arcs allow.  An M81 graph has no
-    conditional pairs, so a single closure decides it.
+    Builds the packed reachability closure of the leq mask, then fires
+    every conditional pair (a, b) with b reaching a: the path rules out the
+    unembeddable case, so a and b are congruent, and the arcs a <-> b are
+    added by ORing the joint reach set into every row that reaches either.
+    Firing repeats until nothing new fires.  At the fixpoint mutually
+    reachable vertices are congruent in every solution, hence an NLE edge
+    between two of them is a contradiction, and absent one, reading the
+    mutual-reachability classes as congruence classes yields a solution.
+    BSY edges are always satisfiable within whatever the LEQ arcs allow.
+    An M81 graph has no conditional pairs, so a single closure decides it.
+    The witness is the first bottom pair, else the first contradicted NLE
+    pair, in row-major order over the upper triangle; its cycle is the
+    chord's mutual-reachability class.
     """
-    if len(g.bottom):
-        return False, _bottom_witness(g, names)
-    reach = _closure(g.n_base, g.leq)
-    pending = g.eqx
+    bottom = _first_upper_pair(g.bottom)
+    if bottom is not None:
+        i, j = bottom
+        return False, {"type": "bottom_edge", "edge": [names[i], names[j]]}
+    reach = _closure(g.leq)
+    pending = np.argwhere(g.eqx)
     while len(pending):
         b_to_a = _reaches(reach, pending[:, 1], pending[:, 0])
         fire = b_to_a & ~_reaches(reach, pending[:, 0], pending[:, 1])
@@ -518,14 +495,12 @@ def detect_m99(g: GadgetGraph, names) -> tuple[bool, dict | None]:
                 joint = reach[a] | reach[b]
                 reach[_reaching(reach, a) | _reaching(reach, b)] |= joint
         pending = pending[~b_to_a]
-    u, v = g.nle[:, 0], g.nle[:, 1]
-    same = _reaches(reach, u, v) & _reaches(reach, v, u)
-    if not same.any():
+    r = np.unpackbits(reach, axis=1, count=len(g.leq), bitorder="little").view(bool)
+    chord = _first_upper_pair(g.nle & r & r.T)
+    if chord is None:
         return True, None
-    k = int(np.flatnonzero(same)[0])
-    u, v = int(u[k]), int(v[k])
-    down = np.flatnonzero(np.unpackbits(reach[u], count=g.n_base, bitorder="little"))
-    cycle = [names[w] for w in down[_reaches(reach, down, u)]]
+    u, v = chord
+    cycle = [names[w] for w in np.flatnonzero(r[u] & r[:, u])]
     return False, {"type": "cycle_chord", "cycle": cycle, "chord": [names[u], names[v]]}
 
 
@@ -601,19 +576,16 @@ def _is_pc_gap(net: ConstraintNetwork) -> bool:
     return not solve_oracle(net, max_vertices=len(net)).consistent
 
 
-def search_pc_incompleteness(
-    max_random_trials: int = 500, seed: int = 2026
-) -> PcGapReport:
+def search_pc_incompleteness() -> PcGapReport:
     """Find a network that is path-consistent but has no scenario.
 
-    Three phases, cheapest evidence first: an exhaustive sweep of all
+    Two phases, cheapest evidence first: an exhaustive sweep of all
     {CGPP|CGPPi, CNO}-labeled networks on 3 and 4 vertices (which proves no
     gap exists that small), then a structured family — a cycle of
-    CGPP|CGPPi labels whose every chord is CNO — on 5 to 8 vertices, then
-    seeded random networks over the same palette as a fallback.
+    CGPP|CGPPi labels whose every chord is CNO — on 5 to 8 vertices.
 
     Raises:
-        RuntimeError: if every phase comes up empty.
+        RuntimeError: if both phases come up empty.
     """
     examined = 0
     palette_codes = (6, 8, 15)
@@ -635,12 +607,4 @@ def search_pc_incompleteness(
         examined += 1
         if _is_pc_gap(net):
             return PcGapReport(net, "cycle-family", examined)
-    rng = np.random.default_rng(seed)
-    palette = tuple(_RELATIONS[c] for c in (6, 8))
-    for _ in range(max_random_trials):
-        n = int(rng.integers(5, 9))
-        net = random_network(n, density=0.9, palette=palette, rng=rng)
-        examined += 1
-        if _is_pc_gap(net):
-            return PcGapReport(net, "random-fallback", examined)
     raise RuntimeError("no path-consistency gap found in any search phase")

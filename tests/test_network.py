@@ -11,6 +11,7 @@ from mc4.algebra import (
     ParseError,
     Relation,
     RelationSet,
+    compose,
     converse,
     format_relation,
 )
@@ -172,6 +173,40 @@ def test_algebraic_closure_predicate():
     bad = ConstraintNetwork(("a", "b"))
     bad.add_constraint("a", "b", EMPTY)
     assert not is_algebraically_closed(bad)
+
+
+def closed_by_triple_loop(net):
+    """is_algebraically_closed written out over every triple of vertices."""
+    if net.self_contradiction is not None:
+        return False
+    names = net.names
+    for i in names:
+        for j in names:
+            if i != j and net.label(i, j) == EMPTY:
+                return False
+            for k in names:
+                if k not in (i, j) and net.label(i, j) & ~compose(
+                    net.label(i, k), net.label(k, j)
+                ):
+                    return False
+    return True
+
+
+def test_algebraic_closure_matches_the_triple_loop():
+    rng = np.random.default_rng(11)
+    palette = tuple(Relation(c) for c in range(16))
+    seen = set()
+    for _ in range(1500):
+        n = int(rng.integers(1, 7))
+        net = random_network(n, float(rng.random()), palette, rng=rng)
+        if rng.random() < 0.5:
+            net = path_consistency(net)[1]
+        if rng.random() < 0.1:
+            net.add_constraint("v0", "v0", CGPP | CNO)
+        expected = closed_by_triple_loop(net)
+        assert is_algebraically_closed(net) == expected
+        seen.add(expected)
+    assert seen == {False, True}
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,16 @@ def cno_chord_cycle(n, chord=lambda: CNO):
     )
 
 
+def upper_pairs(mask):
+    """(i, j) with i < j set in the mask, in row-major order."""
+    return [(i, j) for i, j in np.argwhere(mask).tolist() if i < j]
+
+
+def upper_and_lower(mask):
+    """Every (i, j) set in the mask, in row-major order."""
+    return [tuple(p) for p in np.argwhere(mask).tolist()]
+
+
 def containment_cycle():
     # v0 inside v1 inside v2 inside v0: unsatisfiable
     return net_of(3, [(0, 1, CGPP), (1, 2, CGPP), (2, 0, CGPP)])
@@ -318,13 +328,16 @@ def test_gadget_m99_shapes():
     )
     g = to_gadget_m99(net)
     assert isinstance(g, GadgetGraph)
-    assert g.n_total == g.n_base == 4
-    # only CG gives LEQ arcs, one each way
-    assert len(g.leq) == 2
-    assert sorted(map(tuple, g.eqx.tolist())) == [(0, 2), (1, 2), (2, 1), (3, 2)]
+    for mask in (g.leq, g.eqx, g.nle, g.bottom):
+        assert mask.shape == (4, 4) and mask.dtype == bool
+    # every vertex has its loop; only CG gives arcs between vertices, one each way
+    assert g.leq.diagonal().all()
+    assert upper_and_lower(g.leq & ~np.eye(4, dtype=bool)) == [(0, 1), (1, 0)]
+    assert upper_and_lower(g.eqx) == [(0, 2), (1, 2), (2, 1), (3, 2)]
     # CGPP|CNO and CNO carry NLE; CG|CGPPi|CNO does not
-    assert len(g.nle) == 2
-    assert len(g.bottom) == 0
+    assert upper_pairs(g.nle) == [(0, 2), (1, 2)]
+    assert (g.nle == g.nle.T).all()
+    assert not g.bottom.any()
 
 
 def test_gadget_m99_rejects_out_of_profile_labels():
@@ -340,10 +353,10 @@ def test_gadget_m81_shapes():
         [(0, 1, CG | CGPP), (1, 2, CGPP | CGPPI), (0, 2, EMPTY)],
     )
     g = to_gadget_m81(net)
-    assert g.n_total == g.n_base == 3
-    assert len(g.leq) == 1
-    assert len(g.nle) == 1
-    assert [int(x) for x in g.bottom[0]] == [0, 2]
+    assert upper_and_lower(g.leq & ~np.eye(3, dtype=bool)) == [(0, 1)]
+    assert not g.eqx.any()
+    assert upper_pairs(g.nle) == [(1, 2)]
+    assert upper_pairs(g.bottom) == [(0, 2)]
 
 
 def test_gadget_m81_rejects_out_of_profile_labels():
@@ -351,6 +364,18 @@ def test_gadget_m81_rejects_out_of_profile_labels():
         to_gadget_m81(net_of(2, [(0, 1, CNO)]))
     with pytest.raises(ProfileError):
         to_gadget_m81(net_of(2, [(0, 1, CGPP | CNO)]))
+
+
+def test_gadget_profile_error_names_the_first_pair_in_row_major_order():
+    # (1, 2) comes first column by column, (0, 3) comes first row by row.
+    net = net_of(4, [(1, 2, CGPP | CGPPI), (0, 3, CG | CGPP | CGPPI)])
+    with pytest.raises(ProfileError) as info:
+        solve_m99(net)
+    assert str(info.value) == "label CG|CGPP|CGPPi on (v0, v3) is outside the M99 subalgebra"
+    net = net_of(4, [(1, 2, CNO), (0, 3, CGPPI | CNO)])
+    with pytest.raises(ProfileError) as info:
+        solve_m81(net)
+    assert str(info.value) == "label CGPPi|CNO on (v0, v3) is outside the M81 subalgebra"
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +433,34 @@ def test_m99_bottom_witness():
     out = solve_m99(net_of(2, [(0, 1, EMPTY)]))
     assert not out.consistent
     assert out.witness == {"type": "bottom_edge", "edge": ["v0", "v1"]}
+    # the first NONE pair in row-major order, not in column-major order
+    out = solve_m99(net_of(4, [(1, 2, EMPTY), (0, 3, EMPTY)]))
+    assert out.witness == {"type": "bottom_edge", "edge": ["v0", "v3"]}
+
+
+def test_cycle_chord_is_the_first_contradicted_nle_pair():
+    # (0, 1) is the first NLE pair but v0 stays apart from v1.  The LEQ
+    # cycles v0 <= v3 <= v4 <= v0 and v1 <= v2 <= v5 <= v1 contradict the
+    # NLE pairs (0, 3), first row by row, and (1, 2), first column by column.
+    net = net_of(
+        6,
+        [
+            (0, 1, CGPP),
+            (0, 3, CGPP),
+            (3, 4, CG | CGPP),
+            (0, 4, CG | CGPPI),
+            (1, 2, CGPP),
+            (2, 5, CG | CGPP),
+            (1, 5, CG | CGPPI),
+        ],
+    )
+    out = solve_m81(net)
+    assert out.witness == {
+        "type": "cycle_chord",
+        "cycle": ["v0", "v3", "v4"],
+        "chord": ["v0", "v3"],
+    }
+    assert solve_m99(net).witness == out.witness
 
 
 def test_polynomial_deciders_match_oracle_on_random_sweeps():
