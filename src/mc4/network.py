@@ -131,12 +131,9 @@ class ConstraintNetwork:
     def relation_profile(self) -> RelationSet:
         """Set of labels appearing on the unordered pairs of the network."""
         n = len(self)
-        if n < 2:
-            return RelationSet(0)
-        mask = 0
-        for code in np.unique(self._m[np.triu_indices(n, k=1)]):
-            mask |= 1 << int(code)
-        return RelationSet(mask)
+        upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+        counts = np.bincount(self._m[upper], minlength=16)
+        return RelationSet(sum(1 << code for code in np.flatnonzero(counts).tolist()))
 
 
 def path_consistency(net: ConstraintNetwork) -> tuple[bool, ConstraintNetwork]:
@@ -147,58 +144,99 @@ def path_consistency(net: ConstraintNetwork) -> tuple[bool, ConstraintNetwork]:
     one already was), in which case the network is certainly inconsistent.
     ok True means no local contradiction was found, which does not by
     itself guarantee consistency.
+
+    The fixpoint is reached in whole-matrix pivot sweeps: pivot k refines
+    every label (i, j) by label(i, k) composed with label(k, j) in one
+    numpy gather from the flattened composition table, at index
+    label(i, k) * 16 + label(k, j), and sweeps over all pivots repeat
+    until one changes nothing.  Row and column k cannot change at pivot k, because label
+    (k, k) is CG, so each step equals the sequential loop over i and j;
+    the orientations stay converse-coherent because the converse of a∘b
+    is conv(b)∘conv(a).  The greatest path-consistent refinement is
+    unique, so without a contradiction the labels are those of any other
+    propagation order.  Which label turns NONE first does depend on the
+    order, so on a contradiction the pair queue (_revise over all ordered
+    pairs) is replayed from the input, and the returned labels and the
+    first NONE pair are the queue's.
     """
     refined = net.copy()
-    n = len(refined)
     if refined._self_contradiction is not None:
         return False, refined
-    m = refined._m.tolist()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] == 0:
-                return False, refined
-    ok = _revise(m, [(i, j) for i in range(n) for j in range(n) if i != j])
-    refined._m[:] = m
+    m = refined._m
+    if not m.all():
+        return False, refined
+    n = len(m)
+    while True:
+        before = m.copy()
+        for k in range(n):
+            m &= _COMPOSE_ARR.take(m[:, k, None] << 4 | m[k])
+        if not m.all():
+            break
+        if np.array_equal(m, before):
+            return True, refined
+    labels = net._m.tolist()
+    ok = _revise(labels, [(i, j) for i in range(n) for j in range(n) if i != j])
+    m[:] = labels
     return ok, refined
 
 
-def _revise(m: list[list[int]], pairs: Iterable[tuple[int, int]]) -> bool:
+def _revise(
+    m: list[list[int]],
+    pairs: Iterable[tuple[int, int]],
+    trail: list[tuple[int, int, int]] | None = None,
+) -> bool:
     """Refine the label matrix m in place from the ordered pairs to a fixpoint.
 
     Each queued pair (i, j) refines the labels (i, k) and (k, j) of its
-    triangles, and queues each pair it changes.  Returns False at the first
-    label refined to NONE (stored on both orientations), else True.
+    triangles, and queues each pair it changes.  A pair labeled ALL
+    refines nothing (composition with ALL gives ALL) and is skipped.  The
+    label (k, j) is refined through its converse (j, k), so each k reads
+    only the rows i and j.  Each write, the NONE one included, first
+    appends (row, column, old label) to trail when one is given; writing
+    the old labels back in reverse order undoes the call.  Returns False
+    at the first label refined to NONE (stored on both orientations),
+    else True.
     """
     n = len(m)
     compose_t = _COMPOSE_CODE
     conv = _CONVERSE_CODE
+    if trail is None:
+        trail = []
+    push = trail.append
     queue = deque(pairs)
     queued = set(queue)
     while queue:
         i, j = queue.popleft()
         queued.discard((i, j))
         rij = m[i][j]
+        if rij == 15:
+            continue
         row_ij = compose_t[rij]
+        row_ji = compose_t[conv[rij]]
+        mi = m[i]
+        mj = m[j]
         for k in range(n):
             if k == i or k == j:
                 continue
-            new = m[i][k] & row_ij[m[j][k]]
-            if new != m[i][k]:
-                if new == 0:
-                    m[i][k] = m[k][i] = 0
-                    return False
-                m[i][k] = new
+            old = mi[k]
+            new = old & row_ij[mj[k]]
+            if new != old:
+                push((i, k, old))
+                mi[k] = new
                 m[k][i] = conv[new]
+                if new == 0:
+                    return False
                 if (i, k) not in queued:
                     queue.append((i, k))
                     queued.add((i, k))
-            new = m[k][j] & compose_t[m[k][i]][rij]
-            if new != m[k][j]:
+            old = mj[k]
+            new = old & row_ji[mi[k]]
+            if new != old:
+                push((j, k, old))
+                mj[k] = new
+                m[k][j] = conv[new]
                 if new == 0:
-                    m[k][j] = m[j][k] = 0
                     return False
-                m[k][j] = new
-                m[j][k] = conv[new]
                 if (k, j) not in queued:
                     queue.append((k, j))
                     queued.add((k, j))

@@ -9,9 +9,11 @@ spectrum of label profiles:
   on any profile, exponential, and capped at a handful of vertices; it is
   the ground truth everything else is compared against.
 - solve_backtracking: path consistency plus branching on disjunctive
-  labels.  Full path consistency runs once, at the root; after that each
-  branch propagates only from the pair it narrowed.  Complete on any
-  profile and fast at desk scale.
+  labels.  Full path consistency runs once, at the root, in whole-matrix
+  pivot sweeps; after that the search works on one label matrix, each
+  branch propagates only from the pair it narrowed, and a trail of old
+  labels undoes a failed branch.  Complete on any profile and fast at desk
+  scale.
 - solve_trivial_core: profiles whose every label is NONE or contains a
   fixed core (CG, CNO, or CGPP|CGPPi).  Consistency is the absence of an
   explicit NONE label, and a one-shape canonical scenario always works.
@@ -56,9 +58,10 @@ from .algebra import (
     format_relation,
 )
 from .network import (
+    _CONVERSE_ARR,
+    _POPCOUNT_ARR,
     ConstraintNetwork,
     _revise,
-    is_algebraically_closed,
     path_consistency,
 )
 from .subalgebra import Kind, TractabilityClass, classify
@@ -112,14 +115,6 @@ class Scenario:
     def as_json(self) -> dict:
         return {"pairs": [[i, j, code] for i, j, code in self.pairs]}
 
-    def apply_to(self, net: ConstraintNetwork) -> ConstraintNetwork:
-        """Intersect the scenario into a copy of net (NONE marks a clash)."""
-        out = net.copy()
-        names = out.names
-        for i, j, code in self.pairs:
-            out.add_constraint(names[i], names[j], _RELATIONS[code])
-        return out
-
 
 @dataclass(frozen=True)
 class SolveOutcome:
@@ -139,19 +134,31 @@ class SolveOutcome:
 
 def is_valid_scenario(net: ConstraintNetwork, scenario: Scenario) -> bool:
     """True iff scenario covers every pair of net, refines its labels, and
-    is algebraically closed."""
+    is algebraically closed.
+
+    The pairs are scattered into an n-by-n code matrix c (converses below
+    the diagonal, CG on it), so a missing or duplicated pair leaves a NONE
+    behind.  An atomic network is closed exactly when its "fits inside or
+    congruent" relation L = (c in {CG, CGPP}) is a preorder, which is
+    checked with one matrix product: every two-step L path must be an
+    L arc.
+    """
     n = len(net)
-    if len(scenario.pairs) != n * (n - 1) // 2:
+    if net._self_contradiction is not None or len(scenario.pairs) != n * (n - 1) // 2:
         return False
-    seen = set()
-    for i, j, code in scenario.pairs:
-        if not (0 <= i < j < n) or _POPCOUNT[code] != 1:
-            return False
-        seen.add((i, j))
-    if len(seen) != len(scenario.pairs):
+    i, j, code = np.array(scenario.pairs, dtype=np.int64).reshape(-1, 3).T
+    if not np.all((0 <= i) & (i < j) & (j < n) & (0 <= code) & (code < 16)):
         return False
-    refined = scenario.apply_to(net)
-    return refined.is_atomic() and is_algebraically_closed(refined)
+    if not np.all(_POPCOUNT_ARR[code] == 1):
+        return False
+    c = np.zeros((n, n), dtype=np.uint8)
+    np.fill_diagonal(c, 1)
+    c[i, j] = code
+    c[j, i] = _CONVERSE_ARR[code]
+    if not c.all() or not np.array_equal(c & net._m, c):
+        return False
+    leq = ((c == 1) | (c == 2)).astype(np.float32)
+    return not np.any((leq @ leq > 0) & (leq == 0))
 
 
 def _self_loop_witness(net: ConstraintNetwork) -> dict:
@@ -251,12 +258,16 @@ def solve_oracle(net: ConstraintNetwork, max_vertices: int = 6) -> SolveOutcome:
 def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
     """Complete solver: path consistency interleaved with label branching.
 
-    Runs full path consistency once, at the root.  The search then branches
-    on the pair with the fewest remaining base cases (ties to the
-    lexicographically first pair), trying base cases in canonical order,
-    and after each commitment propagates only from the pair it narrowed:
-    the parent is at the path-consistency fixpoint, so only the triangles
-    through that pair can break.
+    Runs full path consistency once, at the root.  The search then works
+    on one label matrix: it branches on the pair with the fewest remaining
+    base cases (ties to the lexicographically first pair), trying base
+    cases in canonical order, and after each commitment propagates only
+    from the pair it narrowed: the parent is at the path-consistency
+    fixpoint, so only the triangles through that pair can break.  Every
+    write goes on a trail of old labels, which a failed child writes back.
+    Each node keeps the pairs of its parent's open list that are still
+    open, in row-major order, and hands them down; the scenario is read
+    from the matrix at the leaf.
     """
     if net.self_contradiction is not None:
         return SolveOutcome(False, "backtracking", witness=_self_loop_witness(net))
@@ -265,43 +276,47 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
         i, j = _first_bottom_edge(refined)
         witness = {"type": "bottom_edge", "edge": [net.names[i], net.names[j]]}
         return SolveOutcome(False, "backtracking", witness=witness)
-    n = len(net)
+    m = refined._m.tolist()
+    conv = _CONVERSE_CODE
+    popcount = _POPCOUNT
+    trail: list[tuple[int, int, int]] = []
     explored = 0
 
-    def search(cur: list[list[int]]) -> list[list[int]] | None:
+    def search(open_pairs: list[tuple[int, int]]) -> bool:
         nonlocal explored
+        still = []
         best = None
         best_card = 5
-        for i, row in enumerate(cur):
-            for j in range(i + 1, n):
-                card = _POPCOUNT[row[j]]
-                if 2 <= card < best_card:
-                    best = (i, j)
+        for pair in open_pairs:
+            card = popcount[m[pair[0]][pair[1]]]
+            if card >= 2:
+                still.append(pair)
+                if card < best_card:
+                    best = pair
                     best_card = card
-                    if card == 2:
-                        break
-            if best_card == 2:
-                break
         if best is None:
-            return cur
+            return True
         i, j = best
-        label = cur[i][j]
+        label = m[i][j]
         for v in BASIC_CODES:
             if not label & v:
                 continue
             explored += 1
-            child = [row[:] for row in cur]
-            child[i][j] = v
-            child[j][i] = _CONVERSE_CODE[v]
-            if _revise(child, [(i, j), (j, i)]):
-                found = search(child)
-                if found is not None:
-                    return found
-        return None
+            mark = len(trail)
+            trail.append((i, j, label))
+            m[i][j] = v
+            m[j][i] = conv[v]
+            if _revise(m, [(i, j)], trail) and search(still):
+                return True
+            while len(trail) > mark:
+                a, b, old = trail.pop()
+                m[a][b] = old
+                m[b][a] = conv[old]
+        return False
 
-    result = search(refined._m.tolist())
-    if result is not None:
-        return SolveOutcome(True, "backtracking", scenario=_scenario_of(result))
+    rows, cols = np.nonzero(np.triu(_POPCOUNT_ARR[refined._m] >= 2, k=1))
+    if search(list(zip(rows.tolist(), cols.tolist()))):
+        return SolveOutcome(True, "backtracking", scenario=_scenario_of(m))
     return SolveOutcome(
         False,
         "backtracking",

@@ -17,6 +17,7 @@ from mc4.algebra import (
 )
 from mc4.network import (
     ConstraintNetwork,
+    _revise,
     is_algebraically_closed,
     parse_network,
     path_consistency,
@@ -108,6 +109,24 @@ def test_is_atomic_and_profile():
     assert net.relation_profile() == RelationSet.of(CGPP)
 
 
+def test_relation_profile_matches_the_sorted_unique_labels():
+    rng = np.random.default_rng(17)
+    palette = tuple(Relation(c) for c in range(16))
+    nets = [ConstraintNetwork(()), ConstraintNetwork(("a",))]
+    nets += [
+        random_network(int(rng.integers(1, 13)), float(rng.random()), palette, rng=rng)
+        for _ in range(300)
+    ]
+    seen = RelationSet(0)
+    for net in nets:
+        n = len(net)
+        labels = np.unique(net.to_array()[np.triu_indices(n, k=1)])
+        expected = RelationSet.from_iterable(Relation(int(c)) for c in labels)
+        assert net.relation_profile() == expected
+        seen = RelationSet(seen.mask | expected.mask)
+    assert seen == RelationSet((1 << 16) - 1)
+
+
 def test_to_array_returns_a_copy():
     net = chain_network()
     arr = net.to_array()
@@ -163,6 +182,68 @@ def test_pc_propagates_composition_disjunction():
     ok, refined = path_consistency(net)
     assert ok
     assert refined.label("a", "c") == CGPP | CNO
+
+
+def queue_path_consistency(net):
+    """Path consistency by the pair queue: _revise over all ordered pairs,
+    from the input labels.  Returns (ok, label matrix as lists)."""
+    labels = net.to_array().tolist()
+    n = len(labels)
+    if any(0 in row for row in labels):
+        return False, labels
+    ok = _revise(labels, [(i, j) for i in range(n) for j in range(n) if i != j])
+    return ok, labels
+
+
+def planted_network(n, rng):
+    """A hidden dominance scenario on random points of a 4-by-4 grid, each
+    label relaxed to a random superset or, half the time, to ALL."""
+    points = rng.integers(0, 4, size=(n, 2))
+    net = ConstraintNetwork(tuple(f"v{k}" for k in range(n)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            le = bool(np.all(points[i] <= points[j]))
+            ge = bool(np.all(points[i] >= points[j]))
+            base = CG if le and ge else CGPP if le else CGPPI if ge else CNO
+            if rng.random() < 0.5:
+                extra = Relation(int(rng.integers(0, 16)))
+                net.add_constraint(f"v{i}", f"v{j}", base | extra)
+    return net
+
+
+def upper_pairs(mask):
+    """(i, j) with i < j set in the mask, in row-major order."""
+    return [(i, j) for i, j in np.argwhere(mask).tolist() if i < j]
+
+
+def test_pc_sweeps_match_the_pair_queue():
+    # Without a contradiction both reach the greatest path-consistent
+    # refinement; with one, path_consistency returns the queue's labels, so
+    # the first NONE pair is the queue's.
+    rng = np.random.default_rng(23)
+    palette = tuple(Relation(c) for c in range(1, 15))
+    nets = [
+        random_network(int(rng.integers(2, 13)), float(rng.uniform(0.2, 1.0)), palette, rng=rng)
+        for _ in range(400)
+    ]
+    for n in (20, 30, 40, 60):
+        # The clash keeps only base cases that path consistency removes
+        # from the first pair it narrows, so a NONE must be derived.
+        net = planted_network(n, rng)
+        labels = net.to_array()
+        closed = path_consistency(net)[1].to_array()
+        i, j = upper_pairs(labels != closed)[0]
+        clash = net.copy()
+        clash.add_constraint(f"v{i}", f"v{j}", Relation(int(labels[i, j] & ~closed[i, j])))
+        nets += [net, clash]
+    verdicts = set()
+    for net in nets:
+        ok, refined = path_consistency(net)
+        expected_ok, expected = queue_path_consistency(net)
+        assert ok == expected_ok
+        assert refined.to_array().tolist() == expected
+        verdicts.add((len(net) >= 20, ok))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_algebraic_closure_predicate():

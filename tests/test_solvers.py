@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from mc4.algebra import EMPTY, UNIVERSAL, Relation, basics, cardinality
-from mc4.network import ConstraintNetwork, _revise, path_consistency, random_network
+from mc4.algebra import EMPTY, UNIVERSAL, Relation, basics, cardinality, converse
+from mc4.network import (
+    ConstraintNetwork,
+    _revise,
+    is_algebraically_closed,
+    path_consistency,
+    random_network,
+)
 from mc4.solvers import (
     GadgetGraph,
     ProfileError,
@@ -175,7 +181,7 @@ def test_revise_from_the_narrowed_pair_matches_full_path_consistency():
                 child.add_constraint(child.names[i], child.names[j], base)
                 expected_ok, expected = path_consistency(child)
                 labels = child.to_array().tolist()
-                assert _revise(labels, [(i, j), (j, i)]) == expected_ok
+                assert _revise(labels, [(i, j)]) == expected_ok
                 verdicts.add(expected_ok)
                 if expected_ok:
                     assert labels == expected.to_array().tolist()
@@ -184,6 +190,40 @@ def test_revise_from_the_narrowed_pair_matches_full_path_consistency():
             if ok:
                 closed = survivors[int(rng.integers(len(survivors)))]
     assert verdicts == {True, False}
+
+
+def test_revise_trail_undoes_every_write():
+    # Writing the trail's old labels back, newest first, restores the matrix
+    # whether _revise reaches a fixpoint or stops at a NONE.
+    rng = np.random.default_rng(37)
+    palettes = (tuple(Relation(c) for c in range(1, 15)), (CGPP | CGPPI, CNO))
+    verdicts = set()
+    for k in range(200):
+        ok, closed = path_consistency(
+            random_network(int(rng.integers(3, 12)), 0.8, palettes[k % 2], rng=rng)
+        )
+        before = closed.to_array().tolist()
+        n = len(before)
+        open_pairs = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if cardinality(Relation(before[i][j])) > 1
+        ]
+        if not ok or not open_pairs:
+            continue
+        i, j = open_pairs[int(rng.integers(len(open_pairs)))]
+        for base in basics(Relation(before[i][j])):
+            labels = [row[:] for row in before]
+            labels[i][j] = int(base)
+            labels[j][i] = int(converse(base))
+            trail = [(i, j, before[i][j])]
+            verdicts.add(_revise(labels, [(i, j)], trail))
+            for a, b, old in reversed(trail):
+                labels[a][b] = old
+                labels[b][a] = int(converse(Relation(old)))
+            assert labels == before
+    assert verdicts == {False, True}
 
 
 def reference_backtracking(net):
@@ -599,6 +639,70 @@ def test_is_valid_scenario_rejects_wrong_shapes():
     assert not is_valid_scenario(net, Scenario(good.pairs[:-1]))  # missing a pair
     assert not is_valid_scenario(net, Scenario(((0, 1, 3), (0, 2, 1), (1, 2, 1))))
     assert not is_valid_scenario(net, Scenario(((0, 1, 8), (0, 2, 1), (1, 2, 1))))
+    for code in (16, 18, 255, -8):
+        assert not is_valid_scenario(net, Scenario(((0, 1, code), (0, 2, 1), (1, 2, 1))))
+
+
+def valid_by_intersection_and_closure(net, scenario):
+    """is_valid_scenario by its definition: pair checks, the scenario
+    intersected into a copy of net one pair at a time, then the closure
+    predicate over every triangle."""
+    n = len(net)
+    if len(scenario.pairs) != n * (n - 1) // 2:
+        return False
+    if len({(i, j) for i, j, _ in scenario.pairs}) != len(scenario.pairs):
+        return False
+    out = net.copy()
+    for i, j, code in scenario.pairs:
+        if not 0 <= i < j < n or cardinality(Relation(code)) != 1:
+            return False
+        out.add_constraint(out.names[i], out.names[j], Relation(code))
+    return out.is_atomic() and is_algebraically_closed(out)
+
+
+def test_is_valid_scenario_matches_its_definition():
+    # Scenarios from the solver, random atomic ones, dominance orders (closed
+    # by construction), and each with a pair dropped, duplicated, swapped
+    # to i > j, or given a non-atomic code.
+    rng = np.random.default_rng(29)
+    palette = tuple(Relation(c) for c in range(16))
+    families = {}
+    for _ in range(250):
+        n = int(rng.integers(1, 8))
+        net = random_network(n, float(rng.random()), palette, rng=rng)
+        if rng.random() < 0.05:
+            net.add_constraint("v0", "v0", CNO)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        points = rng.integers(0, 3, size=(n, 2))
+        dominance = []
+        for i, j in pairs:
+            le = bool(np.all(points[i] <= points[j]))
+            ge = bool(np.all(points[i] >= points[j]))
+            dominance.append((i, j, 1 if le and ge else 2 if le else 4 if ge else 8))
+        candidates = {
+            "random": [(i, j, int(rng.choice((1, 2, 4, 8)))) for i, j in pairs],
+            "dominance": dominance,
+        }
+        out = solve_backtracking(net)
+        if out.consistent:
+            candidates["solver"] = list(out.scenario.pairs)
+        for kind, base in list(candidates.items()):
+            if not base:
+                continue
+            k = int(rng.integers(len(base)))
+            i, j, code = base[k]
+            candidates[kind + "-missing"] = base[:k] + base[k + 1 :]
+            candidates[kind + "-duplicated"] = base[:k] + [base[k - 1]] + base[k + 1 :]
+            candidates[kind + "-swapped"] = base[:k] + [(j, i, code)] + base[k + 1 :]
+            candidates[kind + "-non-atomic"] = (
+                base[:k] + [(i, j, int(rng.integers(0, 16)))] + base[k + 1 :]
+            )
+        for kind, listed in candidates.items():
+            scenario = Scenario(tuple(listed))
+            expected = valid_by_intersection_and_closure(net, scenario)
+            assert is_valid_scenario(net, scenario) == expected, (kind, scenario)
+            families.setdefault(kind.split("-", 1)[0], set()).add(expected)
+    assert families == {"random": {False, True}, "dominance": {False, True}, "solver": {False, True}}
 
 
 # ---------------------------------------------------------------------------
