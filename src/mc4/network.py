@@ -18,7 +18,8 @@ Repeated declarations for the same pair intersect, so a contradictory file
 stores NONE on the edge rather than failing at parse time.  A self-loop
 ``a a : R`` is satisfiable only if CG is in R (in which case it says
 nothing); the parser rejects self-loops without CG, while the programmatic
-``add_constraint`` records them as an immediate contradiction.
+``add_constraint`` intersects the diagonal cell like any other, leaving
+NONE there.  Every contradiction is thus a NONE label in the matrix.
 
 ``path_consistency`` is the workhorse approximation: it refines every label
 against all two-step paths until a fixpoint, detecting many inconsistencies
@@ -55,12 +56,12 @@ _FORMAT = tuple(" : " + format_relation(r) for r in _RELATIONS)
 class ConstraintNetwork:
     """Dense matrix of MC-4 labels over named vertices.
 
-    The matrix invariants (CG diagonal, converse-coherent orientations,
+    The matrix invariants (CG or NONE diagonal, converse-coherent orientations,
     ALL for unconstrained pairs) are maintained by every mutator, so any
     network reachable through the public API is well-formed.
     """
 
-    __slots__ = ("names", "_index", "_m", "_self_contradiction")
+    __slots__ = ("names", "_index", "_m")
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -71,7 +72,6 @@ class ConstraintNetwork:
         n = len(names)
         self._m = np.full((n, n), 15, dtype=np.uint8)
         np.fill_diagonal(self._m, 1)
-        self._self_contradiction: str | None = None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -84,28 +84,26 @@ class ConstraintNetwork:
 
     @property
     def self_contradiction(self) -> str | None:
-        """Vertex whose self-loop was constrained to exclude CG, if any."""
-        return self._self_contradiction
+        """First vertex by index whose self-loop excluded CG: its diagonal is NONE."""
+        bad = np.flatnonzero(self._m.diagonal() == 0)
+        return self.names[bad[0]] if bad.size else None
 
     def add_constraint(self, u: str, v: str, r: Relation) -> None:
         """Constrain the pair (u, v) by r, intersecting with any prior label.
 
-        A self-loop is a no-op when CG is in r and is otherwise recorded as
-        an immediate contradiction (CG always holds reflexively, so no
-        assignment could satisfy it).
+        A self-loop intersects the diagonal label CG: it is a no-op when CG
+        is in r and otherwise leaves NONE (CG always holds reflexively, so
+        no assignment could satisfy it).  CG and NONE are their own
+        converses, so both orientations are the one diagonal cell.
         """
         i = self._vertex(u)
         j = self._vertex(v)
-        if i == j:
-            if Relation.CG not in r and self._self_contradiction is None:
-                self._self_contradiction = u
-            return
         code = int(self._m[i, j]) & int(r)
         self._m[i, j] = code
         self._m[j, i] = _CONVERSE_CODE[code]
 
     def label(self, u: str, v: str) -> Relation:
-        """Current label on (u, v); ALL when unconstrained, CG when u == v."""
+        """Current label on (u, v); ALL when unconstrained, CG or NONE when u == v."""
         return _RELATIONS[int(self._m[self._vertex(u), self._vertex(v)])]
 
     def copy(self) -> "ConstraintNetwork":
@@ -113,7 +111,6 @@ class ConstraintNetwork:
         dup.names = self.names
         dup._index = self._index
         dup._m = self._m.copy()
-        dup._self_contradiction = self._self_contradiction
         return dup
 
     def to_array(self) -> np.ndarray:
@@ -141,7 +138,8 @@ def path_consistency(net: ConstraintNetwork) -> tuple[bool, ConstraintNetwork]:
 
     Returns (ok, refined) where refined is a new network holding the
     fixpoint labels; ok is False when some label was refined to NONE (or
-    one already was), in which case the network is certainly inconsistent.
+    one already was, a contradicted self-loop's diagonal included), in
+    which case the network is certainly inconsistent.
     ok True means no local contradiction was found, which does not by
     itself guarantee consistency.
 
@@ -160,8 +158,6 @@ def path_consistency(net: ConstraintNetwork) -> tuple[bool, ConstraintNetwork]:
     first NONE pair are the queue's.
     """
     refined = net.copy()
-    if refined._self_contradiction is not None:
-        return False, refined
     m = refined._m
     if not m.all():
         return False, refined
@@ -252,8 +248,6 @@ def is_algebraically_closed(net: ConstraintNetwork) -> bool:
     time over the whole matrix: the terms with i == k, j == k or i == j
     hold trivially once no label is NONE.
     """
-    if net._self_contradiction is not None:
-        return False
     m = net._m
     if not m.all():
         return False
@@ -351,7 +345,7 @@ def serialize_network(net: ConstraintNetwork) -> str:
     Pairs are emitted in declaration order of their endpoints; ALL labels
     are omitted as they say nothing.  Round-trips through parse_network.
     """
-    if net._self_contradiction is not None:
+    if net.self_contradiction is not None:
         raise ValueError("network with a self-contradictory loop cannot be serialized")
     names = net.names
     rows, cols = np.triu_indices(len(names), k=1)

@@ -144,7 +144,7 @@ def is_valid_scenario(net: ConstraintNetwork, scenario: Scenario) -> bool:
     L arc.
     """
     n = len(net)
-    if net._self_contradiction is not None or len(scenario.pairs) != n * (n - 1) // 2:
+    if len(scenario.pairs) != n * (n - 1) // 2:
         return False
     i, j, code = np.array(scenario.pairs, dtype=np.int64).reshape(-1, 3).T
     if not np.all((0 <= i) & (i < j) & (j < n) & (0 <= code) & (code < 16)):
@@ -176,7 +176,9 @@ def _first_upper_pair(mask: np.ndarray) -> tuple[int, int] | None:
 
 
 def _first_bottom_edge(net: ConstraintNetwork) -> tuple[int, int] | None:
-    return _first_upper_pair(net._m == 0)
+    """First NONE label: on the diagonal first, then row-major above it."""
+    loop = np.flatnonzero(net._m.diagonal() == 0)[:1].tolist()
+    return (loop[0], loop[0]) if loop else _first_upper_pair(net._m == 0)
 
 
 def _scenario_of(m: list[list[int]]) -> Scenario:
@@ -269,8 +271,6 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
     open, in row-major order, and hands them down; the scenario is read
     from the matrix at the leaf.
     """
-    if net.self_contradiction is not None:
-        return SolveOutcome(False, "backtracking", witness=_self_loop_witness(net))
     ok, refined = path_consistency(net)
     if not ok:
         i, j = _first_bottom_edge(refined)

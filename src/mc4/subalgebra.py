@@ -105,12 +105,6 @@ M31 = RelationSet(sum(1 << c for c in range(16) if (c & 6) == 6 or c == 0))
 M99 = closure(G99)
 M81 = closure(G81)
 
-TRIVIAL_CORES = (
-    Relation.CG,
-    Relation.CNO,
-    Relation.CGPP | Relation.CGPPI,
-)
-
 
 def has_np_hard_pattern(s: RelationSet) -> bool:
     """True iff s contains both CNO and {CGPP, CGPPi} as members.
@@ -306,33 +300,28 @@ class PartitionReport:
         return sum(b.count for b in self.buckets if b.key != "np-hard")
 
 
-def _bucket_key(s: RelationSet) -> str:
-    if has_np_hard_pattern(s):
-        return "np-hard"
-    if s <= M72:
-        return "cg-core"
-    if s <= M78:
-        return "cno-core"
-    if s <= M31:
-        return "pair-core"
-    if s <= M81 and not s <= M99:
-        return "m81-only"
-    if s <= M99:
-        return "m99-rest"
-    return "residue"
+# classify's verdict -> partition bucket; an UNCLASSIFIED set is residue.
+_BUCKET_OF_CLASS = {
+    TractabilityClass(Kind.NP_HARD): "np-hard",
+    TractabilityClass(Kind.TRIVIAL_CORE, Relation.CG): "cg-core",
+    TractabilityClass(Kind.TRIVIAL_CORE, Relation.CNO): "cno-core",
+    TractabilityClass(Kind.TRIVIAL_CORE, Relation.CGPP | Relation.CGPPI): "pair-core",
+    TractabilityClass(Kind.MAX_M81): "m81-only",
+    TractabilityClass(Kind.MAX_M99): "m99-rest",
+}
 
 
 def partition_report() -> PartitionReport:
     """Partition every expressive subalgebra into its decision bucket.
 
-    Buckets are disjoint and assigned in fixed precedence (NP-hard pattern
-    first, then the catalog subsets); the residue collects anything that
-    matches no bucket and is expected to be empty.
+    Each bucket is read from classify's verdict, so buckets are disjoint
+    and follow its precedence; the residue collects anything classify
+    leaves UNCLASSIFIED and is expected to be empty.
     """
     grouped: dict[str, list[RelationSet]] = {key: [] for key in REFERENCE_BUCKET_ROWS}
     residue: list[RelationSet] = []
     for s in enumerate_expressive():
-        key = _bucket_key(s)
+        key = _BUCKET_OF_CLASS.get(classify(s), "residue")
         if key == "residue":
             residue.append(s)
         else:

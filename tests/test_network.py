@@ -92,6 +92,42 @@ def test_self_loop_without_cg_is_recorded():
     assert not ok
 
 
+def test_self_loop_label_is_none_once_cg_is_excluded():
+    net = ConstraintNetwork(("a", "b"))
+    net.add_constraint("a", "a", CNO)
+    assert net.label("a", "a") == EMPTY
+    assert net.label("b", "b") == CG
+
+
+def test_self_contradiction_names_the_lowest_vertex():
+    net = ConstraintNetwork(("v0", "v1", "v2"))
+    net.add_constraint("v2", "v2", CNO)
+    net.add_constraint("v0", "v0", CGPP)
+    assert net.self_contradiction == "v0"
+
+
+def rebuilt_from_matrix(net):
+    dup = ConstraintNetwork(net.names)
+    dup._m = net.to_array()
+    return dup
+
+
+@pytest.mark.parametrize("rebuild", [ConstraintNetwork.copy, rebuilt_from_matrix])
+def test_contradicted_self_loop_survives_a_rebuild(rebuild):
+    # Without the loop, a-b CG is atomic and closed.
+    net = ConstraintNetwork(("a", "b"))
+    net.add_constraint("a", "b", CG)
+    assert is_algebraically_closed(net)
+    net.add_constraint("b", "b", CNO)
+    dup = rebuild(net)
+    assert dup.self_contradiction == "b"
+    assert dup.label("b", "b") == EMPTY
+    assert not path_consistency(dup)[0]
+    assert not is_algebraically_closed(dup)
+    with pytest.raises(ValueError):
+        serialize_network(dup)
+
+
 def test_copy_is_independent():
     net = chain_network()
     dup = net.copy()

@@ -121,6 +121,44 @@ def test_oracle_self_contradiction():
     assert out.witness == {"type": "bottom_edge", "edge": ["v0", "v0"]}
 
 
+# solve and every solver it dispatches to, forced on any profile.
+SOLVERS = (
+    solve,
+    solve_oracle,
+    solve_backtracking,
+    solve_m99,
+    solve_m81,
+    *(lambda net, core=core: solve_trivial_core(net, core) for core in (CG, CNO, CGPP | CGPPI)),
+)
+
+
+def rebuilt_from_matrix(net):
+    dup = ConstraintNetwork(net.names)
+    dup._m = net.to_array()
+    return dup
+
+
+@pytest.mark.parametrize("rebuild", [ConstraintNetwork.copy, rebuilt_from_matrix])
+def test_contradicted_self_loop_survives_a_rebuild(rebuild):
+    # An NP-hard profile: the self-loop must beat every solver's ProfileError.
+    net = net_of(3, [(0, 1, CGPP | CGPPI), (1, 2, CNO)])
+    net.add_constraint("v1", "v1", CNO)
+    dup = rebuild(net)
+    for solver in SOLVERS:
+        out = solver(dup)
+        assert not out.consistent
+        assert out.witness == {"type": "bottom_edge", "edge": ["v1", "v1"]}
+
+
+def test_self_loop_witness_names_the_lowest_vertex():
+    # The loops also beat the NONE edge (v0, v1).
+    net = net_of(3, [(0, 1, EMPTY)])
+    net.add_constraint("v2", "v2", CNO)
+    net.add_constraint("v0", "v0", CGPP)
+    for solver in SOLVERS:
+        assert solver(net).witness == {"type": "bottom_edge", "edge": ["v0", "v0"]}
+
+
 # ---------------------------------------------------------------------------
 # Backtracking
 # ---------------------------------------------------------------------------
