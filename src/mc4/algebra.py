@@ -259,9 +259,3 @@ class RelationSet:
     def __repr__(self) -> str:
         inner = ", ".join(format_relation(r) for r in self)
         return f"RelationSet({{{inner}}})"
-
-
-if __name__ == "__main__":
-    for a in BASIC_RELATIONS:
-        row = "  ".join(f"{format_relation(compose(a, b)):>14}" for b in BASIC_RELATIONS)
-        print(f"{format_relation(a):>6} | {row}")

@@ -344,10 +344,17 @@ def serialize_network(net: ConstraintNetwork) -> str:
 
     Pairs are emitted in declaration order of their endpoints; ALL labels
     are omitted as they say nothing.  Round-trips through parse_network.
+
+    Raises:
+        ValueError: on a contradicted self-loop, or on a vertex name the
+            parser cannot read back (empty, or with whitespace, ':' or '#').
     """
     if net.self_contradiction is not None:
         raise ValueError("network with a self-contradictory loop cannot be serialized")
     names = net.names
+    for name in names:
+        if name.split() != [name] or ":" in name or "#" in name:
+            raise ValueError(f"vertex name {name!r} cannot be serialized")
     rows, cols = np.triu_indices(len(names), k=1)
     codes = net._m[rows, cols]
     keep = codes != 15

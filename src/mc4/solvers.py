@@ -30,7 +30,11 @@ spectrum of label profiles:
 solve() inspects the label profile via mc4.subalgebra.classify and
 dispatches to the cheapest complete decider.
 
-Inconsistent outcomes carry a JSON-ready witness, one of:
+A NONE label is inconsistent whatever the profile, so every decider first
+answers the first one (diagonal first, then row-major above it) with a
+bottom_edge; only then do the forced deciders raise ProfileError on a
+label outside their profile.  Inconsistent outcomes carry a JSON-ready
+witness, one of:
 
     {"type": "bottom_edge", "edge": [u, v]}
     {"type": "cycle_chord", "cycle": [names...], "chord": [u, v]}
@@ -74,7 +78,8 @@ BASIC_CODES = (1, 2, 4, 8)
 # a "not congruent" edge.  The label on (j, i) is the converse, so its row
 # supplies the reverse arc and pair: CGPPi gets only _NLE, because its arc
 # comes from the CGPP on the converse side.  A zero entry (NONE, ALL, and
-# CG|CGPP|CGPPi in M81) adds nothing; NONE pairs become bottom pairs.
+# CG|CGPP|CGPPi in M81) adds nothing; NONE labels are answered before any
+# gadget is read.
 _LEQ, _EQX, _NLE, _REJECT = (1 << k for k in range(4))
 _GADGET_KINDS = np.array(
     [
@@ -122,7 +127,8 @@ class SolveOutcome:
 
     scenario is set on consistent outcomes from the scenario-producing
     solvers (oracle, backtracking, trivial-core); witness is set on every
-    inconsistent outcome; classification is filled in by solve().
+    inconsistent outcome, a bottom_edge whenever the input holds a NONE
+    label; classification is filled in by solve().
     """
 
     consistent: bool
@@ -161,11 +167,6 @@ def is_valid_scenario(net: ConstraintNetwork, scenario: Scenario) -> bool:
     return not np.any((leq @ leq > 0) & (leq == 0))
 
 
-def _self_loop_witness(net: ConstraintNetwork) -> dict:
-    u = net.self_contradiction
-    return {"type": "bottom_edge", "edge": [u, u]}
-
-
 def _first_upper_pair(mask: np.ndarray) -> tuple[int, int] | None:
     """First (i, j) with i < j and mask[i, j] set, in row-major order."""
     upper = np.triu(mask, k=1).ravel()
@@ -175,10 +176,27 @@ def _first_upper_pair(mask: np.ndarray) -> tuple[int, int] | None:
     return divmod(k, len(mask)) if upper[k] else None
 
 
-def _first_bottom_edge(net: ConstraintNetwork) -> tuple[int, int] | None:
-    """First NONE label: on the diagonal first, then row-major above it."""
-    loop = np.flatnonzero(net._m.diagonal() == 0)[:1].tolist()
-    return (loop[0], loop[0]) if loop else _first_upper_pair(net._m == 0)
+def _bottom_witness(net: ConstraintNetwork) -> dict | None:
+    """bottom_edge witness for the first NONE label, on the diagonal first,
+    then row-major above it; None when no label is NONE."""
+    m = net._m
+    if m.all():
+        return None
+    loop = np.flatnonzero(m.diagonal() == 0)[:1].tolist()
+    i, j = (loop[0], loop[0]) if loop else _first_upper_pair(m == 0)
+    return {"type": "bottom_edge", "edge": [net.names[i], net.names[j]]}
+
+
+def _check_profile(net: ConstraintNetwork, bad_mask: np.ndarray, reason: str) -> None:
+    """Raise ProfileError naming the first pair of bad_mask above the
+    diagonal, in row-major order, and its label; reason ends the message."""
+    bad = _first_upper_pair(bad_mask)
+    if bad is not None:
+        i, j = bad
+        raise ProfileError(
+            f"label {format_relation(_RELATIONS[int(net._m[i, j])])} on "
+            f"({net.names[i]}, {net.names[j]}) {reason}"
+        )
 
 
 def _scenario_of(m: list[list[int]]) -> Scenario:
@@ -203,8 +221,9 @@ def solve_oracle(net: ConstraintNetwork, max_vertices: int = 6) -> SolveOutcome:
     n = len(net)
     if n > max_vertices:
         raise ValueError(f"oracle is capped at {max_vertices} vertices, got {n}")
-    if net.self_contradiction is not None:
-        return SolveOutcome(False, "oracle", witness=_self_loop_witness(net))
+    witness = _bottom_witness(net)
+    if witness is not None:
+        return SolveOutcome(False, "oracle", witness=witness)
     pairs = sorted(
         ((i, j) for i in range(n) for j in range(i + 1, n)),
         key=lambda p: (p[1], p[0]),
@@ -273,9 +292,7 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
     """
     ok, refined = path_consistency(net)
     if not ok:
-        i, j = _first_bottom_edge(refined)
-        witness = {"type": "bottom_edge", "edge": [net.names[i], net.names[j]]}
-        return SolveOutcome(False, "backtracking", witness=witness)
+        return SolveOutcome(False, "backtracking", witness=_bottom_witness(refined))
     m = refined._m.tolist()
     conv = _CONVERSE_CODE
     popcount = _POPCOUNT
@@ -333,36 +350,25 @@ def solve_trivial_core(net: ConstraintNetwork, core: Relation) -> SolveOutcome:
     """Decide a network whose every label is NONE or contains the core.
 
     For such profiles an explicit NONE label is the only possible
-    contradiction: otherwise a single canonical scenario satisfies every
-    constraint at once (all pairs CG, all pairs CNO, or a containment chain
-    along the vertex order for the CGPP|CGPPi core).
+    contradiction, answered first: otherwise a single canonical scenario
+    satisfies every constraint at once (all pairs CG, all pairs CNO, or a
+    containment chain along the vertex order for the CGPP|CGPPi core).
 
     Raises:
         ValueError: if core is not one of CG, CNO, CGPP|CGPPi.
-        ProfileError: if some label is neither NONE nor a superset of core.
+        ProfileError: if no label is NONE and some label is not a superset
+            of core.
     """
     if core not in _TRIVIAL_CORES:
         raise ValueError(f"no trivial-core solver for core {format_relation(core)}")
-    if net.self_contradiction is not None:
-        return SolveOutcome(False, "trivial-core", witness=_self_loop_witness(net))
-    n = len(net)
-    core_code = int(core)
-    scenario_code = _TRIVIAL_CORES[core]
-    m = net._m
-    stray = _first_upper_pair((m != 0) & (m & core_code != core_code))
-    if stray is not None:
-        i, j = stray
-        raise ProfileError(
-            f"label {format_relation(_RELATIONS[int(m[i, j])])} on "
-            f"({net.names[i]}, {net.names[j]}) neither is NONE nor "
-            f"contains {format_relation(core)}"
-        )
-    bottom = _first_bottom_edge(net)
-    if bottom is not None:
-        i, j = bottom
-        witness = {"type": "bottom_edge", "edge": [net.names[i], net.names[j]]}
+    witness = _bottom_witness(net)
+    if witness is not None:
         return SolveOutcome(False, "trivial-core", witness=witness)
-    pairs = tuple((i, j, scenario_code) for i in range(n) for j in range(i + 1, n))
+    reason = f"neither is NONE nor contains {format_relation(core)}"
+    _check_profile(net, net._m & int(core) != int(core), reason)
+    n = len(net)
+    code = _TRIVIAL_CORES[core]
+    pairs = tuple((i, j, code) for i in range(n) for j in range(i + 1, n))
     return SolveOutcome(True, "trivial-core", scenario=Scenario(pairs))
 
 
@@ -375,36 +381,27 @@ def solve_trivial_core(net: ConstraintNetwork, core: Relation) -> SolveOutcome:
 class GadgetGraph:
     """Primitive-constraint graph a network translates into.
 
-    Four n-by-n boolean masks over the network's vertices.  leq[i, j] is
+    Three n-by-n boolean masks over the network's vertices.  leq[i, j] is
     the arc "i fits inside or is congruent to j" (every vertex has its
     loop); eqx[a, b] is the conditional pair "if b reaches a through LEQ
     arcs, a and b are congruent"; nle is the symmetric "not congruent"
-    relation; bottom marks the pairs whose label was NONE.  A label's
-    "congruent or one inside the other" part (BSY) adds no constraint,
-    because it can always be satisfied.
+    relation.  A label's "congruent or one inside the other" part (BSY)
+    adds no constraint, because it can always be satisfied.  A NONE label
+    adds none either: the deciders answer it before building the graph.
     """
 
     leq: np.ndarray
     eqx: np.ndarray
     nle: np.ndarray
-    bottom: np.ndarray
 
 
 def _to_gadget(net: ConstraintNetwork, column: int, class_name: str) -> GadgetGraph:
-    m = net._m
-    kinds = _GADGET_KINDS[:, column][m]
-    bad = _first_upper_pair((kinds & _REJECT) != 0)
-    if bad is not None:
-        i, j = bad
-        raise ProfileError(
-            f"label {format_relation(_RELATIONS[int(m[i, j])])} on "
-            f"({net.names[i]}, {net.names[j]}) is outside {class_name}"
-        )
+    kinds = _GADGET_KINDS[:, column][net._m]
+    _check_profile(net, (kinds & _REJECT) != 0, f"is outside {class_name}")
     return GadgetGraph(
         leq=(kinds & _LEQ) != 0,
         eqx=(kinds & _EQX) != 0,
         nle=(kinds & _NLE) != 0,
-        bottom=m == 0,
     )
 
 
@@ -490,14 +487,11 @@ def detect_m99(g: GadgetGraph, names) -> tuple[bool, dict | None]:
     mutual-reachability classes as congruence classes yields a solution.
     BSY edges are always satisfiable within whatever the LEQ arcs allow.
     An M81 graph has no conditional pairs, so a single closure decides it.
-    The witness is the first bottom pair, else the first contradicted NLE
-    pair, in row-major order over the upper triangle; its cycle is the
-    chord's mutual-reachability class.
+    A NONE label puts nothing into the graph; solve_m99 and solve_m81
+    answer it before building one.  The witness is the first contradicted NLE pair,
+    in row-major order over the upper triangle; its cycle is the chord's
+    mutual-reachability class.
     """
-    bottom = _first_upper_pair(g.bottom)
-    if bottom is not None:
-        i, j = bottom
-        return False, {"type": "bottom_edge", "edge": [names[i], names[j]]}
     reach = _closure(g.leq)
     pending = np.argwhere(g.eqx)
     while len(pending):
@@ -524,16 +518,18 @@ detect_m81 = detect_m99
 
 def solve_m99(net: ConstraintNetwork) -> SolveOutcome:
     """Polynomial decider for networks labeled within M99."""
-    if net.self_contradiction is not None:
-        return SolveOutcome(False, "m99", witness=_self_loop_witness(net))
+    witness = _bottom_witness(net)
+    if witness is not None:
+        return SolveOutcome(False, "m99", witness=witness)
     ok, witness = detect_m99(to_gadget_m99(net), net.names)
     return SolveOutcome(ok, "m99", witness=witness)
 
 
 def solve_m81(net: ConstraintNetwork) -> SolveOutcome:
     """Polynomial decider for networks labeled within M81."""
-    if net.self_contradiction is not None:
-        return SolveOutcome(False, "m81", witness=_self_loop_witness(net))
+    witness = _bottom_witness(net)
+    if witness is not None:
+        return SolveOutcome(False, "m81", witness=witness)
     ok, witness = detect_m81(to_gadget_m81(net), net.names)
     return SolveOutcome(ok, "m81", witness=witness)
 

@@ -477,6 +477,17 @@ def test_serialize_rejects_self_contradiction():
         serialize_network(net)
 
 
+@pytest.mark.parametrize("name", ["", "x y", "x:y", "x#y"])
+def test_serialize_rejects_names_the_parser_cannot_read_back(name):
+    # The text the serializer would write for this network does not parse.
+    with pytest.raises(ParseError):
+        parse_network(f"nodes: a {name}\na {name} : CG\n")
+    net = ConstraintNetwork(("a", name))
+    net.add_constraint("a", name, CG)
+    with pytest.raises(ValueError, match=repr(name)):
+        serialize_network(net)
+
+
 def naive_serialize(net):
     lines = ["nodes: " + " ".join(net.names)]
     for i, u in enumerate(net.names):

@@ -150,6 +150,16 @@ def test_contradicted_self_loop_survives_a_rebuild(rebuild):
         assert out.witness == {"type": "bottom_edge", "edge": ["v1", "v1"]}
 
 
+def test_upper_none_beats_every_profile_error():
+    # An NP-hard profile with NONE on (v1, v2): no solver gets to its
+    # profile check, and the oracle does not search.
+    net = net_of(4, [(0, 1, CGPP | CGPPI), (0, 2, CNO), (2, 3, EMPTY), (1, 2, EMPTY)])
+    for solver in SOLVERS:
+        out = solver(net)
+        assert not out.consistent
+        assert out.witness == {"type": "bottom_edge", "edge": ["v1", "v2"]}
+
+
 def test_self_loop_witness_names_the_lowest_vertex():
     # The loops also beat the NONE edge (v0, v1).
     net = net_of(3, [(0, 1, EMPTY)])
@@ -368,9 +378,12 @@ def test_trivial_core_reports_the_first_pair_in_row_major_order():
     net = net_of(4, [(1, 2, EMPTY), (0, 3, EMPTY)])
     out = solve_trivial_core(net, CG)
     assert out.witness == {"type": "bottom_edge", "edge": ["v0", "v3"]}
-    net = net_of(4, [(1, 2, CGPP), (0, 3, CNO), (0, 1, EMPTY)])
+    # The NONE on (v0, v1) wins over the labels outside the profile.
+    stray = [(1, 2, CGPP), (0, 3, CNO)]
+    out = solve_trivial_core(net_of(4, stray + [(0, 1, EMPTY)]), CG)
+    assert out.witness == {"type": "bottom_edge", "edge": ["v0", "v1"]}
     with pytest.raises(ProfileError) as info:
-        solve_trivial_core(net, CG)
+        solve_trivial_core(net_of(4, stray), CG)
     assert str(info.value) == "label CNO on (v0, v3) neither is NONE nor contains CG"
 
 
@@ -406,7 +419,7 @@ def test_gadget_m99_shapes():
     )
     g = to_gadget_m99(net)
     assert isinstance(g, GadgetGraph)
-    for mask in (g.leq, g.eqx, g.nle, g.bottom):
+    for mask in (g.leq, g.eqx, g.nle):
         assert mask.shape == (4, 4) and mask.dtype == bool
     # every vertex has its loop; only CG gives arcs between vertices, one each way
     assert g.leq.diagonal().all()
@@ -415,7 +428,6 @@ def test_gadget_m99_shapes():
     # CGPP|CNO and CNO carry NLE; CG|CGPPi|CNO does not
     assert upper_pairs(g.nle) == [(0, 2), (1, 2)]
     assert (g.nle == g.nle.T).all()
-    assert not g.bottom.any()
 
 
 def test_gadget_m99_rejects_out_of_profile_labels():
@@ -434,7 +446,6 @@ def test_gadget_m81_shapes():
     assert upper_and_lower(g.leq & ~np.eye(3, dtype=bool)) == [(0, 1)]
     assert not g.eqx.any()
     assert upper_pairs(g.nle) == [(1, 2)]
-    assert upper_pairs(g.bottom) == [(0, 2)]
 
 
 def test_gadget_m81_rejects_out_of_profile_labels():
@@ -508,12 +519,13 @@ def test_m81_decides_cycles():
 
 
 def test_m99_bottom_witness():
-    out = solve_m99(net_of(2, [(0, 1, EMPTY)]))
-    assert not out.consistent
-    assert out.witness == {"type": "bottom_edge", "edge": ["v0", "v1"]}
-    # the first NONE pair in row-major order, not in column-major order
-    out = solve_m99(net_of(4, [(1, 2, EMPTY), (0, 3, EMPTY)]))
-    assert out.witness == {"type": "bottom_edge", "edge": ["v0", "v3"]}
+    for solver in (solve_m99, solve_m81):
+        out = solver(net_of(2, [(0, 1, EMPTY)]))
+        assert not out.consistent
+        assert out.witness == {"type": "bottom_edge", "edge": ["v0", "v1"]}
+        # the first NONE pair in row-major order, not in column-major order
+        out = solver(net_of(4, [(1, 2, EMPTY), (0, 3, EMPTY)]))
+        assert out.witness == {"type": "bottom_edge", "edge": ["v0", "v3"]}
 
 
 def test_cycle_chord_is_the_first_contradicted_nle_pair():
