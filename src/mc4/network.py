@@ -346,9 +346,12 @@ def serialize_network(net: ConstraintNetwork) -> str:
     are omitted as they say nothing.  Round-trips through parse_network.
 
     Raises:
-        ValueError: on a contradicted self-loop, or on a vertex name the
-            parser cannot read back (empty, or with whitespace, ':' or '#').
+        ValueError: on a network with no vertices, on a contradicted
+            self-loop, or on a vertex name the parser cannot read back
+            (empty, or with whitespace, ':' or '#').
     """
+    if not len(net):
+        raise ValueError("network with no vertices cannot be serialized")
     if net.self_contradiction is not None:
         raise ValueError("network with a self-contradictory loop cannot be serialized")
     names = net.names

@@ -8,12 +8,13 @@ spectrum of label profiles:
 - solve_oracle: exhaustive scenario search with triangle pruning.  Complete
   on any profile, exponential, and capped at a handful of vertices; it is
   the ground truth everything else is compared against.
-- solve_backtracking: path consistency plus branching on disjunctive
-  labels.  Full path consistency runs once, at the root, in whole-matrix
-  pivot sweeps; after that the search works on one label matrix, each
-  branch propagates only from the pair it narrowed, and a trail of old
-  labels undoes a failed branch.  Complete on any profile and fast at desk
-  scale.
+- solve_backtracking: path consistency plus branching on the two labels
+  outside M99 (CGPP|CGPPi and CG|CGPP|CGPPi).  Full path consistency runs
+  once, at the root, in whole-matrix pivot sweeps; after that the search
+  works on one label matrix, each branch propagates only from the pair it
+  narrowed, and a trail of old labels undoes a failed branch.  A node left
+  inside M99 is decided by the M99 closure, which also gives its scenario.
+  Complete on any profile.
 - solve_trivial_core: profiles whose every label is NONE or contains a
   fixed core (CG, CNO, or CGPP|CGPPi).  Consistency is the absence of an
   explicit NONE label, and a one-shape canonical scenario always works.
@@ -57,7 +58,6 @@ from .algebra import (
     Relation,
     _COMPOSE_CODE,
     _CONVERSE_CODE,
-    _POPCOUNT,
     _RELATIONS,
     format_relation,
 )
@@ -102,6 +102,9 @@ _GADGET_KINDS = np.array(
     ],
     dtype=np.uint8,
 )
+
+# The two labels outside M99 -> the M99 labels the search splits them into.
+_M99_SPLITS = {6: (2, 4), 7: (3, 4)}
 
 # Trivial core -> the base case every pair takes in its canonical scenario.
 _TRIVIAL_CORES = {Relation.CG: 1, Relation.CNO: 8, Relation.CGPP | Relation.CGPPI: 2}
@@ -277,47 +280,49 @@ def solve_oracle(net: ConstraintNetwork, max_vertices: int = 6) -> SolveOutcome:
 
 
 def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
-    """Complete solver: path consistency interleaved with label branching.
+    """Complete solver: path consistency, branching out of M99, and the M99
+    decider at the leaves.
 
-    Runs full path consistency once, at the root.  The search then works
-    on one label matrix: it branches on the pair with the fewest remaining
-    base cases (ties to the lexicographically first pair), trying base
-    cases in canonical order, and after each commitment propagates only
-    from the pair it narrowed: the parent is at the path-consistency
-    fixpoint, so only the triangles through that pair can break.  Every
-    write goes on a trail of old labels, which a failed child writes back.
-    Each node keeps the pairs of its parent's open list that are still
-    open, in row-major order, and hands them down; the scenario is read
-    from the matrix at the leaf.
+    Runs full path consistency once, at the root.  Only CGPP|CGPPi and
+    CG|CGPP|CGPPi fall outside M99, so the search branches only on those:
+    on the first such label in row-major order, trying CGPP then CGPPi for
+    the first and CG|CGPP then CGPPi for the second.  After each commitment
+    it propagates only from the pair it narrowed: the parent is at the
+    path-consistency fixpoint, so only the triangles through that pair can
+    break.  The search works on one label matrix; every write goes on a
+    trail of old labels, which a failed child writes back.  A pair stays
+    open while its label contains CGPP|CGPPi, since propagation can narrow
+    CGPP|CGPPi|CNO or ALL to a label outside M99; each node hands its
+    children the pairs of its parent's open list that are still open.  A
+    node with no label outside M99 left is a leaf, decided by the M99
+    closure, and a consistent leaf gives the scenario: congruent where the
+    closure is mutual, inside where it runs one way, CNO elsewhere.
+    explored counts the commitments.
     """
     ok, refined = path_consistency(net)
     if not ok:
         return SolveOutcome(False, "backtracking", witness=_bottom_witness(refined))
     m = refined._m.tolist()
     conv = _CONVERSE_CODE
-    popcount = _POPCOUNT
     trail: list[tuple[int, int, int]] = []
     explored = 0
+    scenario = None
 
     def search(open_pairs: list[tuple[int, int]]) -> bool:
-        nonlocal explored
-        still = []
-        best = None
-        best_card = 5
-        for pair in open_pairs:
-            card = popcount[m[pair[0]][pair[1]]]
-            if card >= 2:
-                still.append(pair)
-                if card < best_card:
-                    best = pair
-                    best_card = card
-        if best is None:
+        nonlocal explored, scenario
+        still = [(i, j) for i, j in open_pairs if m[i][j] & 6 == 6]
+        # of the open labels 6, 7, 14 and 15, those below CNO are outside M99
+        branch = next(((i, j) for i, j in still if m[i][j] < 8), None)
+        if branch is None:
+            refined._m[:] = m  # the search's own network carries the leaf labels
+            r, clash = _forced_closure(to_gadget_m99(refined))
+            if clash.any():
+                return False
+            scenario = _scenario_of(np.select([r & r.T, r, r.T], [1, 2, 4], 8).tolist())
             return True
-        i, j = best
+        i, j = branch
         label = m[i][j]
-        for v in BASIC_CODES:
-            if not label & v:
-                continue
+        for v in _M99_SPLITS[label]:
             explored += 1
             mark = len(trail)
             trail.append((i, j, label))
@@ -331,9 +336,9 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
                 m[b][a] = conv[old]
         return False
 
-    rows, cols = np.nonzero(np.triu(_POPCOUNT_ARR[refined._m] >= 2, k=1))
+    rows, cols = np.nonzero(np.triu(refined._m & 6 == 6, k=1))
     if search(list(zip(rows.tolist(), cols.tolist()))):
-        return SolveOutcome(True, "backtracking", scenario=_scenario_of(m))
+        return SolveOutcome(True, "backtracking", scenario=scenario)
     return SolveOutcome(
         False,
         "backtracking",
@@ -474,23 +479,15 @@ def _closure(leq: np.ndarray) -> np.ndarray:
     return reach
 
 
-def detect_m99(g: GadgetGraph, names) -> tuple[bool, dict | None]:
-    """Decide an M99 or M81 gadget graph.
+def _forced_closure(g: GadgetGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Closure of the leq mask with every conditional pair fired.
 
-    Builds the packed reachability closure of the leq mask, then fires
-    every conditional pair (a, b) with b reaching a: the path rules out the
-    unembeddable case, so a and b are congruent, and the arcs a <-> b are
-    added by ORing the joint reach set into every row that reaches either.
-    Firing repeats until nothing new fires.  At the fixpoint mutually
-    reachable vertices are congruent in every solution, hence an NLE edge
-    between two of them is a contradiction, and absent one, reading the
-    mutual-reachability classes as congruence classes yields a solution.
-    BSY edges are always satisfiable within whatever the LEQ arcs allow.
-    An M81 graph has no conditional pairs, so a single closure decides it.
-    A NONE label puts nothing into the graph; solve_m99 and solve_m81
-    answer it before building one.  The witness is the first contradicted NLE pair,
-    in row-major order over the upper triangle; its cycle is the chord's
-    mutual-reachability class.
+    Fires every conditional pair (a, b) with b reaching a: the path rules
+    out the unembeddable case, so a and b are congruent, and the arcs
+    a <-> b are added by ORing the joint reach set into every row that
+    reaches either.  Firing repeats until nothing new fires.  Returns the
+    unpacked closure r (r[u, v]: u reaches v) and the mask of contradicted
+    NLE pairs, those inside one mutual-reachability class.
     """
     reach = _closure(g.leq)
     pending = np.argwhere(g.eqx)
@@ -505,7 +502,26 @@ def detect_m99(g: GadgetGraph, names) -> tuple[bool, dict | None]:
                 reach[_reaching(reach, a) | _reaching(reach, b)] |= joint
         pending = pending[~b_to_a]
     r = np.unpackbits(reach, axis=1, count=len(g.leq), bitorder="little").view(bool)
-    chord = _first_upper_pair(g.nle & r & r.T)
+    return r, g.nle & r & r.T
+
+
+def detect_m99(g: GadgetGraph, names) -> tuple[bool, dict | None]:
+    """Decide an M99 or M81 gadget graph.
+
+    Builds the reachability closure of the leq mask with every conditional
+    pair fired (_forced_closure).  At that fixpoint mutually reachable
+    vertices are congruent in every solution, hence an NLE edge between
+    two of them is a contradiction, and absent one, reading the
+    mutual-reachability classes as congruence classes yields a solution.
+    BSY edges are always satisfiable within whatever the LEQ arcs allow.
+    An M81 graph has no conditional pairs, so a single closure decides it.
+    A NONE label puts nothing into the graph; solve_m99 and solve_m81
+    answer it before building one.  The witness is the first contradicted NLE pair,
+    in row-major order over the upper triangle; its cycle is the chord's
+    mutual-reachability class.
+    """
+    r, clash = _forced_closure(g)
+    chord = _first_upper_pair(clash)
     if chord is None:
         return True, None
     u, v = chord

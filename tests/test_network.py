@@ -477,6 +477,14 @@ def test_serialize_rejects_self_contradiction():
         serialize_network(net)
 
 
+def test_serialize_rejects_a_network_with_no_vertices():
+    # The text it would write, a bare "nodes:" line, does not parse.
+    with pytest.raises(ParseError):
+        parse_network("nodes: \n")
+    with pytest.raises(ValueError, match="no vertices"):
+        serialize_network(ConstraintNetwork(()))
+
+
 @pytest.mark.parametrize("name", ["", "x y", "x:y", "x#y"])
 def test_serialize_rejects_names_the_parser_cannot_read_back(name):
     # The text the serializer would write for this network does not parse.

@@ -275,14 +275,11 @@ def test_revise_trail_undoes_every_write():
 
 
 def reference_backtracking(net):
-    """The search with a full path-consistency run at every node: copy the
-    network, commit one base case, close it again.  Returns (consistent,
-    scenario pairs, explored), or None in place of explored when the root
-    already fails path consistency."""
-    explored = 0
+    """Verdict of the atom-by-atom search with a full path-consistency run
+    at every node: copy the network, commit one base case of the pair with
+    the fewest, close it again, until every label is a base case."""
 
     def search(cur):
-        nonlocal explored
         m = cur.to_array()
         n = len(cur)
         open_pairs = [
@@ -292,31 +289,60 @@ def reference_backtracking(net):
             if cardinality(Relation(m[i, j])) > 1
         ]
         if not open_pairs:
-            return cur
+            return True
         _, i, j = min(open_pairs)
         for base in basics(Relation(m[i, j])):
-            explored += 1
             child = cur.copy()
             child.add_constraint(cur.names[i], cur.names[j], base)
             ok, closed = path_consistency(child)
-            if ok:
-                found = search(closed)
-                if found is not None:
-                    return found
-        return None
+            if ok and search(closed):
+                return True
+        return False
+
+    ok, refined = path_consistency(net)
+    return ok and search(refined)
+
+
+M99_SPLITS = {CGPP | CGPPI: (CGPP, CGPPI), CG | CGPP | CGPPI: (CG | CGPP, CGPPI)}
+
+
+def reference_m99_search(net):
+    """The search solve_backtracking runs, with a full path-consistency run
+    at every node: copy the network, commit one M99 half of the first label
+    outside M99 in row-major order, close it again; a node with no such
+    label left is decided by solve_m99.  Returns (consistent, explored),
+    with None for explored when the root already fails path consistency."""
+    explored = 0
+
+    def search(cur):
+        nonlocal explored
+        m = cur.to_array()
+        n = len(cur)
+        outside = [
+            (i, j) for i in range(n) for j in range(i + 1, n) if Relation(m[i, j]) in M99_SPLITS
+        ]
+        if not outside:
+            return solve_m99(cur).consistent
+        i, j = outside[0]
+        for half in M99_SPLITS[Relation(m[i, j])]:
+            explored += 1
+            child = cur.copy()
+            child.add_constraint(cur.names[i], cur.names[j], half)
+            ok, closed = path_consistency(child)
+            if ok and search(closed):
+                return True
+        return False
 
     ok, refined = path_consistency(net)
     if not ok:
-        return False, None, None
-    found = search(refined)
-    if found is None:
-        return False, None, explored
-    m = found.to_array()
-    n = len(net)
-    return True, tuple((i, j, int(m[i, j])) for i in range(n) for j in range(i + 1, n)), explored
+        return False, None
+    return search(refined), explored
 
 
 def test_backtracking_matches_the_full_path_consistency_search():
+    # Verdicts against the atom-by-atom search; the search tree, through
+    # its node count, against the same M99 search run with full path
+    # consistency at every node.
     rng = np.random.default_rng(9)
     palette = tuple(Relation(c) for c in range(1, 15))
     nets = [
@@ -330,17 +356,58 @@ def test_backtracking_matches_the_full_path_consistency_search():
             nets.append(cno_chord_cycle(n, lambda: chords[int(rng.integers(len(chords)))]))
     witnesses = set()
     for net in nets:
-        consistent, pairs, explored = reference_backtracking(net)
+        consistent, explored = reference_m99_search(net)
+        assert consistent == reference_backtracking(net)
         out = solve_backtracking(net)
         assert out.consistent == consistent
         if consistent:
-            assert out.scenario.pairs == pairs
+            assert is_valid_scenario(net, out.scenario)
         elif explored is None:
             assert out.witness["type"] == "bottom_edge"
         else:
             assert out.witness == {"type": "search_exhausted", "explored": explored}
         witnesses.add(out.witness["type"] if out.witness else None)
     assert witnesses == {None, "bottom_edge", "search_exhausted"}
+
+
+@pytest.mark.parametrize("catalog, decider", [(M99, solve_m99), (M81, solve_m81)])
+def test_backtracking_agrees_with_the_polynomial_deciders(catalog, decider):
+    # Beyond the oracle's reach, at n 10-40: random networks labelled inside
+    # M99 or M81, sparse enough that both verdicts occur, and planted ones
+    # with one label tightened to exclude its hidden case.
+    rng = np.random.default_rng(41)
+    palette = tuple(r for r in catalog if r not in (EMPTY, UNIVERSAL))
+    nets = []
+    for _ in range(40):
+        n = int(rng.integers(10, 41))
+        nets.append(random_network(n, float(rng.uniform(1, 6)) / n, palette, rng=rng))
+    for _ in range(10):
+        net, hidden = planted_network(int(rng.integers(10, 41)), rng, catalog)
+        tightenable = []
+        for (i, j), base in hidden.items():
+            tight = Relation(int(net._m[i, j]) & ~int(base))
+            if tight != EMPTY and tight in catalog:
+                tightenable.append((i, j, tight))
+        i, j, tight = tightenable[int(rng.integers(len(tightenable)))]
+        net.add_constraint(f"v{i}", f"v{j}", tight)
+        nets.append(net)
+    verdicts = set()
+    for net in nets:
+        out = solve_backtracking(net)
+        assert out.consistent == decider(net).consistent
+        if out.consistent:
+            assert is_valid_scenario(net, out.scenario)
+        verdicts.add(out.consistent)
+    assert verdicts == {True, False}
+
+
+def test_backtracking_decides_the_hard_cgpp_cgppi_cno_instance():
+    # n=60 at average degree 12 over {CGPP|CGPPi, CNO}: the atom-by-atom
+    # search had not finished it after 100 s; branching only out of M99
+    # exhausts it after 266 commitments.
+    net = random_network(60, 12 / 59, (CGPP | CGPPI, CNO), rng=0)
+    out = solve_backtracking(net)
+    assert out.witness == {"type": "search_exhausted", "explored": 266}
 
 
 def test_backtracking_matches_oracle_on_random_sweep():
