@@ -348,8 +348,11 @@ def bench_rows(
     Network generation is excluded from the timing; each (solver, size,
     instance) triple derives its own deterministic seed from the base seed.
     Returns one row per (solver, size) with mean and 95th-percentile
-    microseconds, keyed like the CSV columns.
+    microseconds, keyed like the CSV columns.  Raises ValueError when
+    instances is below 1, which leaves nothing to time.
     """
+    if instances < 1:
+        raise ValueError(f"bench needs at least one instance, got {instances}")
     rows = []
     for solver_index, solver_name in enumerate(solvers):
         fn = solve_m99 if solver_name == "m99" else solve_m81

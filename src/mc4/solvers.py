@@ -12,9 +12,9 @@ spectrum of label profiles:
   outside M99 (CGPP|CGPPi and CG|CGPP|CGPPi).  Full path consistency runs
   once, at the root, in whole-matrix pivot sweeps; after that the search
   works on one label matrix, each branch propagates only from the pair it
-  narrowed, and a trail of old labels undoes a failed branch.  A node left
-  inside M99 is decided by the M99 closure, which also gives its scenario.
-  Complete on any profile.
+  narrowed, and a trail of old labels undoes a failed branch.  Path
+  consistency decides M99, so a node left inside M99 is consistent, and its
+  scenario is read from its labels.  Complete on any profile.
 - solve_trivial_core: profiles whose every label is NONE or contains a
   fixed core (CG, CNO, or CGPP|CGPPi).  Consistency is the absence of an
   explicit NONE label, and a one-shape canonical scenario always works.
@@ -105,6 +105,9 @@ _GADGET_KINDS = np.array(
 
 # The two labels outside M99 -> the M99 labels the search splits them into.
 _M99_SPLITS = {6: (2, 4), 7: (3, 4)}
+
+# Label of a search leaf (no NONE, 6 or 7) -> the base case its scenario takes.
+_LEAF_ATOM = np.array([0, 1, 2, 2, 4, 4, 0, 0, 8, 8, 8, 8, 8, 8, 8, 8], dtype=np.uint8)
 
 # Trivial core -> the base case every pair takes in its canonical scenario.
 _TRIVIAL_CORES = {Relation.CG: 1, Relation.CNO: 8, Relation.CGPP | Relation.CGPPI: 2}
@@ -280,8 +283,8 @@ def solve_oracle(net: ConstraintNetwork, max_vertices: int = 6) -> SolveOutcome:
 
 
 def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
-    """Complete solver: path consistency, branching out of M99, and the M99
-    decider at the leaves.
+    """Complete solver: path consistency, branching out of M99, and leaves
+    read from their labels.
 
     Runs full path consistency once, at the root.  Only CGPP|CGPPi and
     CG|CGPP|CGPPi fall outside M99, so the search branches only on those:
@@ -290,14 +293,22 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
     it propagates only from the pair it narrowed: the parent is at the
     path-consistency fixpoint, so only the triangles through that pair can
     break.  The search works on one label matrix; every write goes on a
-    trail of old labels, which a failed child writes back.  A pair stays
-    open while its label contains CGPP|CGPPi, since propagation can narrow
-    CGPP|CGPPi|CNO or ALL to a label outside M99; each node hands its
-    children the pairs of its parent's open list that are still open.  A
-    node with no label outside M99 left is a leaf, decided by the M99
-    closure, and a consistent leaf gives the scenario: congruent where the
-    closure is mutual, inside where it runs one way, CNO elsewhere.
-    explored counts the commitments.
+    trail of old labels, which a failed child writes back.  explored counts
+    the commitments.
+
+    Open pairs: those labelled outside M99 after root path consistency,
+    handed on while still so.  A composition without CNO contains
+    CGPP|CGPPi only as CG with the other operand, and the ends of a CG pair
+    have equal rows at the fixpoint, so a label that propagation narrows
+    outside M99 copies one that already was: once no open pair is outside
+    M99, no pair is.
+
+    Such a node is a leaf, and path consistency has decided it: its
+    scenario reads CG from CG, CGPP from CGPP and CG|CGPP, CGPPi from their
+    converses and CNO from every label holding CNO.  Its "inside or
+    congruent" relation is the pairs labelled CG, CGPP or CG|CGPP, a
+    preorder at the fixpoint (CG|CGPP composes with itself to CG|CGPP), so
+    the scenario is closed.
     """
     ok, refined = path_consistency(net)
     if not ok:
@@ -310,17 +321,11 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
 
     def search(open_pairs: list[tuple[int, int]]) -> bool:
         nonlocal explored, scenario
-        still = [(i, j) for i, j in open_pairs if m[i][j] & 6 == 6]
-        # of the open labels 6, 7, 14 and 15, those below CNO are outside M99
-        branch = next(((i, j) for i, j in still if m[i][j] < 8), None)
-        if branch is None:
-            refined._m[:] = m  # the search's own network carries the leaf labels
-            r, clash = _forced_closure(to_gadget_m99(refined))
-            if clash.any():
-                return False
-            scenario = _scenario_of(np.select([r & r.T, r, r.T], [1, 2, 4], 8).tolist())
+        still = [(i, j) for i, j in open_pairs if m[i][j] in _M99_SPLITS]
+        if not still:
+            scenario = _scenario_of(_LEAF_ATOM[np.array(m)].tolist())
             return True
-        i, j = branch
+        i, j = still[0]
         label = m[i][j]
         for v in _M99_SPLITS[label]:
             explored += 1
@@ -336,7 +341,7 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
                 m[b][a] = conv[old]
         return False
 
-    rows, cols = np.nonzero(np.triu(refined._m & 6 == 6, k=1))
+    rows, cols = np.nonzero(np.triu(np.isin(refined._m, list(_M99_SPLITS)), k=1))
     if search(list(zip(rows.tolist(), cols.tolist()))):
         return SolveOutcome(True, "backtracking", scenario=scenario)
     return SolveOutcome(
@@ -479,15 +484,23 @@ def _closure(leq: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _forced_closure(g: GadgetGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Closure of the leq mask with every conditional pair fired.
+def detect_m99(g: GadgetGraph, names) -> tuple[bool, dict | None]:
+    """Decide an M99 or M81 gadget graph.
 
-    Fires every conditional pair (a, b) with b reaching a: the path rules
-    out the unembeddable case, so a and b are congruent, and the arcs
-    a <-> b are added by ORing the joint reach set into every row that
-    reaches either.  Firing repeats until nothing new fires.  Returns the
-    unpacked closure r (r[u, v]: u reaches v) and the mask of contradicted
-    NLE pairs, those inside one mutual-reachability class.
+    Builds the reachability closure of the leq mask, then fires every
+    conditional pair (a, b) with b reaching a: the path rules out the
+    unembeddable case, so a and b are congruent, and the arcs a <-> b are
+    added by ORing the joint reach set into every row that reaches either.
+    Firing repeats until nothing new fires.  At that fixpoint mutually
+    reachable vertices are congruent in every solution, hence an NLE edge
+    between two of them is a contradiction, and absent one, reading the
+    mutual-reachability classes as congruence classes yields a solution.
+    BSY edges are always satisfiable within whatever the LEQ arcs allow.
+    An M81 graph has no conditional pairs, so a single closure decides it.
+    A NONE label puts nothing into the graph; solve_m99 and solve_m81
+    answer it before building one.  The witness is the first contradicted
+    NLE pair, in row-major order over the upper triangle; its cycle is the
+    chord's mutual-reachability class.
     """
     reach = _closure(g.leq)
     pending = np.argwhere(g.eqx)
@@ -502,26 +515,7 @@ def _forced_closure(g: GadgetGraph) -> tuple[np.ndarray, np.ndarray]:
                 reach[_reaching(reach, a) | _reaching(reach, b)] |= joint
         pending = pending[~b_to_a]
     r = np.unpackbits(reach, axis=1, count=len(g.leq), bitorder="little").view(bool)
-    return r, g.nle & r & r.T
-
-
-def detect_m99(g: GadgetGraph, names) -> tuple[bool, dict | None]:
-    """Decide an M99 or M81 gadget graph.
-
-    Builds the reachability closure of the leq mask with every conditional
-    pair fired (_forced_closure).  At that fixpoint mutually reachable
-    vertices are congruent in every solution, hence an NLE edge between
-    two of them is a contradiction, and absent one, reading the
-    mutual-reachability classes as congruence classes yields a solution.
-    BSY edges are always satisfiable within whatever the LEQ arcs allow.
-    An M81 graph has no conditional pairs, so a single closure decides it.
-    A NONE label puts nothing into the graph; solve_m99 and solve_m81
-    answer it before building one.  The witness is the first contradicted NLE pair,
-    in row-major order over the upper triangle; its cycle is the chord's
-    mutual-reachability class.
-    """
-    r, clash = _forced_closure(g)
-    chord = _first_upper_pair(clash)
+    chord = _first_upper_pair(g.nle & r & r.T)
     if chord is None:
         return True, None
     u, v = chord

@@ -289,3 +289,11 @@ def test_bench_csv_header_and_rows(capsys):
     assert {row["solver"] for row in rows} == {"m99", "m81"}
     assert all(float(row["mean_us"]) > 0 for row in rows)
     assert all(row["seed"] == "7" for row in rows)
+
+
+def test_bench_rejects_fewer_than_one_instance(capsys):
+    for count in ("0", "-2"):
+        code, out, err = run(capsys, "bench", "--sizes", "20", "--instances", count)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "at least one instance" in err

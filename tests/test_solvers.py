@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from mc4.algebra import EMPTY, UNIVERSAL, Relation, basics, cardinality, converse
+from mc4.algebra import (
+    EMPTY,
+    UNIVERSAL,
+    Relation,
+    _COMPOSE_CODE,
+    basics,
+    cardinality,
+    converse,
+)
 from mc4.network import (
     ConstraintNetwork,
     _revise,
@@ -408,6 +416,66 @@ def test_backtracking_decides_the_hard_cgpp_cgppi_cno_instance():
     net = random_network(60, 12 / 59, (CGPP | CGPPI, CNO), rng=0)
     out = solve_backtracking(net)
     assert out.witness == {"type": "search_exhausted", "explored": 266}
+
+
+def label_read_scenario(net):
+    """The search's leaf rule: CG from CG, CGPP from CGPP and CG|CGPP,
+    CGPPi from their converses, CNO from every other label."""
+    atom = {CG: CG, CGPP: CGPP, CG | CGPP: CGPP, CGPPI: CGPPI, CG | CGPPI: CGPPI}
+    m = net.to_array()
+    n = len(net)
+    return Scenario(
+        tuple(
+            (i, j, int(atom.get(Relation(int(m[i, j])), CNO)))
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
+    )
+
+
+def test_path_consistency_decides_m99():
+    # On M99 labels path consistency agrees with the M99 decider, and the
+    # refined network's labels read off a scenario: random networks sparse
+    # enough that both verdicts occur, and planted ones with one label
+    # tightened to exclude its hidden case.
+    rng = np.random.default_rng(99)
+    palette = tuple(r for r in M99 if r not in (EMPTY, UNIVERSAL))
+    nets = []
+    for _ in range(150):
+        n = int(rng.integers(2, 41))
+        density = min(1.0, float(rng.uniform(0.5, 6)) / n)
+        nets.append(random_network(n, density, palette, rng=rng))
+    for _ in range(20):
+        net, hidden = planted_network(int(rng.integers(2, 41)), rng, M99)
+        tightenable = []
+        for (i, j), base in hidden.items():
+            tight = Relation(int(net._m[i, j]) & ~int(base))
+            if tight != EMPTY and tight in M99:
+                tightenable.append((i, j, tight))
+        if tightenable:
+            i, j, tight = tightenable[int(rng.integers(len(tightenable)))]
+            net.add_constraint(f"v{i}", f"v{j}", tight)
+        nets.append(net)
+    verdicts = set()
+    for net in nets:
+        ok, refined = path_consistency(net)
+        assert ok == solve_m99(net).consistent
+        if ok:
+            assert is_valid_scenario(net, label_read_scenario(refined))
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+def test_compositions_outside_m99_without_cno_come_from_cg():
+    # The search's open list rests on this: a composition that holds no CNO
+    # but holds CGPP|CGPPi is CG composed with the other operand.
+    for x in range(1, 16):
+        for y in range(1, 16):
+            out = _COMPOSE_CODE[x][y]
+            if out & CNO or out & (CGPP | CGPPI) != CGPP | CGPPI:
+                continue
+            assert CG in (x, y)
+            assert out == (y if x == CG else x)
 
 
 def test_backtracking_matches_oracle_on_random_sweep():
