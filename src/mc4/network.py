@@ -143,43 +143,43 @@ def path_consistency(net: ConstraintNetwork) -> tuple[bool, ConstraintNetwork]:
     ok True means no local contradiction was found, which does not by
     itself guarantee consistency.
 
-    The fixpoint is reached in whole-matrix pivot sweeps: pivot k refines
-    every label (i, j) by label(i, k) composed with label(k, j) in one
-    numpy gather from the flattened composition table, at index
-    label(i, k) * 16 + label(k, j), and sweeps over all pivots repeat
-    until one changes nothing.  Row and column k cannot change at pivot k, because label
-    (k, k) is CG, so each step equals the sequential loop over i and j;
-    the orientations stay converse-coherent because the converse of a∘b
-    is conv(b)∘conv(a).  The greatest path-consistent refinement is
-    unique, so without a contradiction the labels are those of any other
-    propagation order.  Which label turns NONE first does depend on the
-    order, so on a contradiction the pair queue (_revise over all ordered
-    pairs) is replayed from the input, and the returned labels and the
-    first NONE pair are the queue's.
+    The fixpoint is reached by whole-matrix pivot sweeps, repeated until
+    one changes nothing; it is unique, so the labels are those of any other
+    propagation order.  On a contradiction refined holds the labels after
+    the first sweep that left a NONE (the input's, when it held one).
     """
     refined = net.copy()
     m = refined._m
     if not m.all():
         return False, refined
-    n = len(m)
     while True:
         before = m.copy()
-        for k in range(n):
-            m &= _COMPOSE_ARR.take(m[:, k, None] << 4 | m[k])
+        _pivot_sweep(m)
         if not m.all():
-            break
+            return False, refined
         if np.array_equal(m, before):
             return True, refined
-    labels = net._m.tolist()
-    ok = _revise(labels, [(i, j) for i in range(n) for j in range(n) if i != j])
-    m[:] = labels
-    return ok, refined
+
+
+def _pivot_sweep(m: np.ndarray) -> np.ndarray:
+    """Sweep every pivot k over the label matrix m, in place; returns m.
+
+    Pivot k refines every label (i, j) by label(i, k) composed with
+    label(k, j), one numpy gather from the flattened composition table at
+    index label(i, k) * 16 + label(k, j).  Row and column k cannot change
+    at pivot k, as label (k, k) is CG, so each step equals the sequential
+    loop over i and j; orientations stay converse-coherent, as the
+    converse of a∘b is conv(b)∘conv(a).
+    """
+    for k in range(len(m)):
+        m &= _COMPOSE_ARR.take(m[:, k, None] << 4 | m[k])
+    return m
 
 
 def _revise(
     m: list[list[int]],
     pairs: Iterable[tuple[int, int]],
-    trail: list[tuple[int, int, int]] | None = None,
+    trail: list[tuple[int, int, int]],
 ) -> bool:
     """Refine the label matrix m in place from the ordered pairs to a fixpoint.
 
@@ -188,16 +188,13 @@ def _revise(
     refines nothing (composition with ALL gives ALL) and is skipped.  The
     label (k, j) is refined through its converse (j, k), so each k reads
     only the rows i and j.  Each write, the NONE one included, first
-    appends (row, column, old label) to trail when one is given; writing
-    the old labels back in reverse order undoes the call.  Returns False
-    at the first label refined to NONE (stored on both orientations),
-    else True.
+    appends (row, column, old label) to trail; writing the old labels back
+    in reverse order undoes the call.  Returns False at the first label
+    refined to NONE (stored on both orientations), else True.
     """
     n = len(m)
     compose_t = _COMPOSE_CODE
     conv = _CONVERSE_CODE
-    if trail is None:
-        trail = []
     push = trail.append
     queue = deque(pairs)
     queued = set(queue)
@@ -244,17 +241,13 @@ def is_algebraically_closed(net: ConstraintNetwork) -> bool:
 
     The condition is label(i,j) contained in compose(label(i,k), label(k,j))
     for all triples; on atomic networks it coincides with the
-    path_consistency fixpoint reporting ok.  It is checked one pivot k at a
-    time over the whole matrix: the terms with i == k, j == k or i == j
-    hold trivially once no label is NONE.
+    path_consistency fixpoint reporting ok.  Once no label is NONE it holds
+    exactly when one pivot sweep changes nothing: every pivot leaves a
+    closed matrix as it is, and a sweep that changes nothing saw the input
+    itself at every pivot.
     """
     m = net._m
-    if not m.all():
-        return False
-    for k in range(len(net)):
-        if (m & ~_COMPOSE_ARR[m[:, k, None], m[k]]).any():
-            return False
-    return True
+    return bool(m.all()) and np.array_equal(_pivot_sweep(m.copy()), m)
 
 
 # ---------------------------------------------------------------------------

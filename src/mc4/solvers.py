@@ -34,8 +34,9 @@ dispatches to the cheapest complete decider.
 A NONE label is inconsistent whatever the profile, so every decider first
 answers the first one (diagonal first, then row-major above it) with a
 bottom_edge; only then do the forced deciders raise ProfileError on a
-label outside their profile.  Inconsistent outcomes carry a JSON-ready
-witness, one of:
+label outside their profile.  An outcome thus carries a bottom_edge exactly
+when the input holds a NONE label.  Inconsistent outcomes carry a
+JSON-ready witness, one of:
 
     {"type": "bottom_edge", "edge": [u, v]}
     {"type": "cycle_chord", "cycle": [names...], "chord": [u, v]}
@@ -133,7 +134,7 @@ class SolveOutcome:
 
     scenario is set on consistent outcomes from the scenario-producing
     solvers (oracle, backtracking, trivial-core); witness is set on every
-    inconsistent outcome, a bottom_edge whenever the input holds a NONE
+    inconsistent outcome, a bottom_edge exactly when the input holds a NONE
     label; classification is filled in by solve().
     """
 
@@ -145,8 +146,8 @@ class SolveOutcome:
 
 
 def is_valid_scenario(net: ConstraintNetwork, scenario: Scenario) -> bool:
-    """True iff scenario covers every pair of net, refines its labels, and
-    is algebraically closed.
+    """True iff scenario holds one integer triple per pair of net, refines
+    its labels, and is algebraically closed; False on any other input.
 
     The pairs are scattered into an n-by-n code matrix c (converses below
     the diagonal, CG on it), so a missing or duplicated pair leaves a NONE
@@ -158,7 +159,13 @@ def is_valid_scenario(net: ConstraintNetwork, scenario: Scenario) -> bool:
     n = len(net)
     if len(scenario.pairs) != n * (n - 1) // 2:
         return False
-    i, j, code = np.array(scenario.pairs, dtype=np.int64).reshape(-1, 3).T
+    try:
+        pairs = np.array(scenario.pairs)
+    except ValueError:  # ragged
+        return False
+    if pairs.size and (pairs.dtype.kind not in "iu" or pairs.shape[1:] != (3,)):
+        return False
+    i, j, code = pairs.reshape(-1, 3).astype(np.int64).T
     if not np.all((0 <= i) & (i < j) & (j < n) & (0 <= code) & (code < 16)):
         return False
     if not np.all(_POPCOUNT_ARR[code] == 1):
@@ -227,8 +234,7 @@ def solve_oracle(net: ConstraintNetwork, max_vertices: int = 6) -> SolveOutcome:
     n = len(net)
     if n > max_vertices:
         raise ValueError(f"oracle is capped at {max_vertices} vertices, got {n}")
-    witness = _bottom_witness(net)
-    if witness is not None:
+    if (witness := _bottom_witness(net)) is not None:
         return SolveOutcome(False, "oracle", witness=witness)
     pairs = sorted(
         ((i, j) for i in range(n) for j in range(i + 1, n)),
@@ -286,15 +292,17 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
     """Complete solver: path consistency, branching out of M99, and leaves
     read from their labels.
 
-    Runs full path consistency once, at the root.  Only CGPP|CGPPi and
-    CG|CGPP|CGPPi fall outside M99, so the search branches only on those:
-    on the first such label in row-major order, trying CGPP then CGPPi for
-    the first and CG|CGPP then CGPPi for the second.  After each commitment
-    it propagates only from the pair it narrowed: the parent is at the
-    path-consistency fixpoint, so only the triangles through that pair can
-    break.  The search works on one label matrix; every write goes on a
-    trail of old labels, which a failed child writes back.  explored counts
-    the commitments.
+    Answers a NONE label of the input first, like every decider, then runs
+    full path consistency once, at the root: a root it rejects is a search
+    exhausted before its first commitment, with explored 0.  Only
+    CGPP|CGPPi and CG|CGPP|CGPPi fall outside M99, so the search branches
+    only on those: on the first such label in row-major order, trying CGPP
+    then CGPPi for the first and CG|CGPP then CGPPi for the second.  After
+    each commitment it propagates only from the pair it narrowed: the
+    parent is at the path-consistency fixpoint, so only the triangles
+    through that pair can break.  The search works on one label matrix;
+    every write goes on a trail of old labels, which a failed child writes
+    back.  explored counts the commitments.
 
     Open pairs: those labelled outside M99 after root path consistency,
     handed on while still so.  A composition without CNO contains
@@ -310,9 +318,9 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
     preorder at the fixpoint (CG|CGPP composes with itself to CG|CGPP), so
     the scenario is closed.
     """
+    if (witness := _bottom_witness(net)) is not None:
+        return SolveOutcome(False, "backtracking", witness=witness)
     ok, refined = path_consistency(net)
-    if not ok:
-        return SolveOutcome(False, "backtracking", witness=_bottom_witness(refined))
     m = refined._m.tolist()
     conv = _CONVERSE_CODE
     trail: list[tuple[int, int, int]] = []
@@ -323,7 +331,7 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
         nonlocal explored, scenario
         still = [(i, j) for i, j in open_pairs if m[i][j] in _M99_SPLITS]
         if not still:
-            scenario = _scenario_of(_LEAF_ATOM[np.array(m)].tolist())
+            scenario = _scenario_of(_LEAF_ATOM[np.array(m, dtype=np.uint8)].tolist())
             return True
         i, j = still[0]
         label = m[i][j]
@@ -341,8 +349,8 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
                 m[b][a] = conv[old]
         return False
 
-    rows, cols = np.nonzero(np.triu(np.isin(refined._m, list(_M99_SPLITS)), k=1))
-    if search(list(zip(rows.tolist(), cols.tolist()))):
+    root_open = np.argwhere(np.triu(np.isin(refined._m, list(_M99_SPLITS)), k=1))
+    if ok and search(root_open.tolist()):
         return SolveOutcome(True, "backtracking", scenario=scenario)
     return SolveOutcome(
         False,
@@ -371,8 +379,7 @@ def solve_trivial_core(net: ConstraintNetwork, core: Relation) -> SolveOutcome:
     """
     if core not in _TRIVIAL_CORES:
         raise ValueError(f"no trivial-core solver for core {format_relation(core)}")
-    witness = _bottom_witness(net)
-    if witness is not None:
+    if (witness := _bottom_witness(net)) is not None:
         return SolveOutcome(False, "trivial-core", witness=witness)
     reason = f"neither is NONE nor contains {format_relation(core)}"
     _check_profile(net, net._m & int(core) != int(core), reason)
@@ -528,8 +535,7 @@ detect_m81 = detect_m99
 
 def solve_m99(net: ConstraintNetwork) -> SolveOutcome:
     """Polynomial decider for networks labeled within M99."""
-    witness = _bottom_witness(net)
-    if witness is not None:
+    if (witness := _bottom_witness(net)) is not None:
         return SolveOutcome(False, "m99", witness=witness)
     ok, witness = detect_m99(to_gadget_m99(net), net.names)
     return SolveOutcome(ok, "m99", witness=witness)
@@ -537,8 +543,7 @@ def solve_m99(net: ConstraintNetwork) -> SolveOutcome:
 
 def solve_m81(net: ConstraintNetwork) -> SolveOutcome:
     """Polynomial decider for networks labeled within M81."""
-    witness = _bottom_witness(net)
-    if witness is not None:
+    if (witness := _bottom_witness(net)) is not None:
         return SolveOutcome(False, "m81", witness=witness)
     ok, witness = detect_m81(to_gadget_m81(net), net.names)
     return SolveOutcome(ok, "m81", witness=witness)

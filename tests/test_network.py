@@ -227,7 +227,7 @@ def queue_path_consistency(net):
     n = len(labels)
     if any(0 in row for row in labels):
         return False, labels
-    ok = _revise(labels, [(i, j) for i in range(n) for j in range(n) if i != j])
+    ok = _revise(labels, [(i, j) for i in range(n) for j in range(n) if i != j], [])
     return ok, labels
 
 
@@ -254,8 +254,8 @@ def upper_pairs(mask):
 
 def test_pc_sweeps_match_the_pair_queue():
     # Without a contradiction both reach the greatest path-consistent
-    # refinement; with one, path_consistency returns the queue's labels, so
-    # the first NONE pair is the queue's.
+    # refinement; with one, both report it, and the labels path_consistency
+    # returns hold a NONE.
     rng = np.random.default_rng(23)
     palette = tuple(Relation(c) for c in range(1, 15))
     nets = [
@@ -277,7 +277,10 @@ def test_pc_sweeps_match_the_pair_queue():
         ok, refined = path_consistency(net)
         expected_ok, expected = queue_path_consistency(net)
         assert ok == expected_ok
-        assert refined.to_array().tolist() == expected
+        if ok:
+            assert refined.to_array().tolist() == expected
+        else:
+            assert not refined.to_array().all()
         verdicts.add((len(net) >= 20, ok))
     assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
 

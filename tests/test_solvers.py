@@ -177,6 +177,13 @@ def test_self_loop_witness_names_the_lowest_vertex():
         assert solver(net).witness == {"type": "bottom_edge", "edge": ["v0", "v0"]}
 
 
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_every_solver_accepts_the_empty_network(solver):
+    out = solver(ConstraintNetwork(()))
+    assert out.consistent and out.witness is None
+    assert out.scenario is None or out.scenario.pairs == ()
+
+
 # ---------------------------------------------------------------------------
 # Backtracking
 # ---------------------------------------------------------------------------
@@ -200,12 +207,11 @@ def test_backtracking_scenario_is_valid():
     assert is_valid_scenario(net, out.scenario)
 
 
-def test_backtracking_bottom_witness_names_the_edge():
+def test_backtracking_root_failure_is_an_exhausted_search():
     net = net_of(3, [(0, 1, CGPP), (1, 2, CGPP), (0, 2, CG)])
     out = solve_backtracking(net)
     assert not out.consistent
-    assert out.witness["type"] == "bottom_edge"
-    assert out.witness["edge"] == ["v0", "v2"]
+    assert out.witness == {"type": "search_exhausted", "explored": 0}
 
 
 def test_revise_from_the_narrowed_pair_matches_full_path_consistency():
@@ -237,7 +243,7 @@ def test_revise_from_the_narrowed_pair_matches_full_path_consistency():
                 child.add_constraint(child.names[i], child.names[j], base)
                 expected_ok, expected = path_consistency(child)
                 labels = child.to_array().tolist()
-                assert _revise(labels, [(i, j)]) == expected_ok
+                assert _revise(labels, [(i, j)], []) == expected_ok
                 verdicts.add(expected_ok)
                 if expected_ok:
                     assert labels == expected.to_array().tolist()
@@ -318,8 +324,8 @@ def reference_m99_search(net):
     """The search solve_backtracking runs, with a full path-consistency run
     at every node: copy the network, commit one M99 half of the first label
     outside M99 in row-major order, close it again; a node with no such
-    label left is decided by solve_m99.  Returns (consistent, explored),
-    with None for explored when the root already fails path consistency."""
+    label left is decided by solve_m99.  Returns (consistent, explored);
+    a root that fails path consistency explores nothing."""
     explored = 0
 
     def search(cur):
@@ -342,9 +348,7 @@ def reference_m99_search(net):
         return False
 
     ok, refined = path_consistency(net)
-    if not ok:
-        return False, None
-    return search(refined), explored
+    return ok and search(refined), explored
 
 
 def test_backtracking_matches_the_full_path_consistency_search():
@@ -370,12 +374,10 @@ def test_backtracking_matches_the_full_path_consistency_search():
         assert out.consistent == consistent
         if consistent:
             assert is_valid_scenario(net, out.scenario)
-        elif explored is None:
-            assert out.witness["type"] == "bottom_edge"
         else:
             assert out.witness == {"type": "search_exhausted", "explored": explored}
         witnesses.add(out.witness["type"] if out.witness else None)
-    assert witnesses == {None, "bottom_edge", "search_exhausted"}
+    assert witnesses == {None, "search_exhausted"}
 
 
 @pytest.mark.parametrize("catalog, decider", [(M99, solve_m99), (M81, solve_m81)])
@@ -485,6 +487,28 @@ def test_backtracking_matches_oracle_on_random_sweep():
         n = int(rng.integers(3, 6))
         net = random_network(n, 0.8, palette, rng=rng)
         assert solve_backtracking(net).consistent == solve_oracle(net).consistent
+
+
+def test_complete_solvers_fail_the_same_way():
+    # Both answer a NONE in the input with the same bottom_edge, and every
+    # other inconsistency, a root that path consistency rejects included,
+    # with an exhausted search.
+    rng = np.random.default_rng(41)
+    seen = set()
+    for _ in range(3000):
+        palette = [Relation(int(c)) for c in rng.choice(16, size=int(rng.integers(1, 5)))]
+        net = random_network(int(rng.integers(1, 7)), float(rng.random()), palette, rng=rng)
+        if rng.random() < 0.05:
+            net.add_constraint("v0", "v0", CGPP | CNO)
+        oracle, search = solve_oracle(net), solve_backtracking(net)
+        assert oracle.consistent == search.consistent
+        if oracle.consistent:
+            continue
+        assert oracle.witness["type"] == search.witness["type"]
+        if oracle.witness["type"] == "bottom_edge":
+            assert oracle.witness == search.witness
+        seen.add(oracle.witness["type"])
+    assert seen == {"bottom_edge", "search_exhausted"}
 
 
 # ---------------------------------------------------------------------------
@@ -826,6 +850,16 @@ def test_is_valid_scenario_rejects_wrong_shapes():
     assert not is_valid_scenario(net, Scenario(((0, 1, 8), (0, 2, 1), (1, 2, 1))))
     for code in (16, 18, 255, -8):
         assert not is_valid_scenario(net, Scenario(((0, 1, code), (0, 2, 1), (1, 2, 1))))
+    # Malformed input answers False rather than raise: a non-integer code
+    # just above the valid one, pairs of two or four entries, a ragged list
+    # and a code too wide for any integer type.
+    (i, j, code), *rest = good.pairs
+    assert not is_valid_scenario(net, Scenario(((i, j, code + 0.5), *rest)))
+    assert not is_valid_scenario(net, Scenario(tuple(p[:2] for p in good.pairs)))
+    assert not is_valid_scenario(net, Scenario(tuple((*p, 0) for p in good.pairs)))
+    assert not is_valid_scenario(net, Scenario(((i, j), *rest)))
+    assert not is_valid_scenario(net, Scenario(((i, j, 2**70), *rest)))
+    assert not is_valid_scenario(net_of(2, []), Scenario(((0, 1, 1.5),)))
 
 
 def valid_by_intersection_and_closure(net, scenario):
