@@ -36,7 +36,7 @@ from .algebra import (
     format_relation,
     parse_relation,
 )
-from .network import ConstraintNetwork, parse_network, random_network, serialize_network
+from .network import _FORMAT, ConstraintNetwork, parse_network, random_network, serialize_network
 from .rcc5 import Rcc5, convert_scenario, envelope, format_rcc5, lift, to_rcc5
 from .solvers import (
     ProfileError,
@@ -152,9 +152,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"consistent: {'yes' if out.consistent else 'no'}")
         print(f"solver: {out.solver}")
         if out.scenario is not None:
-            for i, j, code in out.scenario.pairs:
-                rel = format_relation(Relation(code))
-                print(f"  {net.names[i]} {net.names[j]} : {rel}")
+            names = net.names
+            pairs = out.scenario.pairs
+            sys.stdout.write("".join(f"  {names[i]} {names[j]}{_FORMAT[c]}\n" for i, j, c in pairs))
         if out.witness is not None:
             print(f"witness: {json.dumps(out.witness)}")
     return 0 if out.consistent else 1

@@ -338,6 +338,12 @@ def serialize_network(net: ConstraintNetwork) -> str:
     Pairs are emitted in declaration order of their endpoints; ALL labels
     are omitted as they say nothing.  Round-trips through parse_network.
 
+    The lines are built a row at a time: each kept pair (i, j) becomes the
+    key 16 * j + label into a table of line tails (name j and the label's
+    right-hand side), and row i is written as one string, its tails joined
+    behind the head "name_i ".  Python thus works once per row, not once
+    per pair.
+
     Raises:
         ValueError: on a network with no vertices, on a contradicted
             self-loop, or on a vertex name the parser cannot read back
@@ -351,15 +357,19 @@ def serialize_network(net: ConstraintNetwork) -> str:
     for name in names:
         if name.split() != [name] or ":" in name or "#" in name:
             raise ValueError(f"vertex name {name!r} cannot be serialized")
-    rows, cols = np.triu_indices(len(names), k=1)
-    codes = net._m[rows, cols]
-    keep = codes != 15
-    prefix = [name + " " for name in names]
+    m = net._m
+    kept = np.triu(m != 15, k=1)
+    flat = np.flatnonzero(kept)
+    keys = (flat % len(names) * 16 + m.ravel()[flat]).tolist()
+    ends = np.cumsum(kept.sum(axis=1)).tolist()
+    tails = [name + rhs for name in names for rhs in _FORMAT]
     lines = ["nodes: " + " ".join(names)]
-    lines += [
-        prefix[i] + names[j] + _FORMAT[code]
-        for i, j, code in zip(rows[keep].tolist(), cols[keep].tolist(), codes[keep].tolist())
-    ]
+    start = 0
+    for name, end in zip(names, ends):
+        if end > start:
+            head = name + " "
+            lines.append(head + ("\n" + head).join(map(tails.__getitem__, keys[start:end])))
+            start = end
     return "\n".join(lines) + "\n"
 
 
@@ -380,6 +390,12 @@ def random_network(
     ``density``, by a label drawn uniformly from ``palette``; other pairs
     stay ALL.  Pass an int (or a Generator) as ``rng`` to make the draw
     reproducible.
+
+    The draws are one uniform per pair for the hit, then one palette index
+    per pair, both in row-major order of the upper triangle; the labels
+    fill that triangle through a boolean mask, and their converses the
+    lower one through the same mask on the transpose.  A seed thus always
+    gives the same matrix.
     """
     if n_vertices < 1:
         raise ValueError("a network needs at least one vertex")
@@ -391,12 +407,12 @@ def random_network(
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be within [0, 1]")
     net = ConstraintNetwork(tuple(f"v{k}" for k in range(n_vertices)))
-    rows, cols = np.triu_indices(n_vertices, k=1)
-    n_pairs = rows.size
+    n_pairs = n_vertices * (n_vertices - 1) // 2
     if n_pairs:
         hit = rng.random(n_pairs) < density
         drawn = codes[rng.integers(0, codes.size, size=n_pairs)]
-        vals = np.where(hit, drawn, np.uint8(15)).astype(np.uint8)
-        net._m[rows, cols] = vals
-        net._m[cols, rows] = _CONVERSE_ARR[vals]
+        vals = np.where(hit, drawn, np.uint8(15))
+        upper = np.triu(np.ones((n_vertices, n_vertices), dtype=bool), k=1)
+        net._m[upper] = vals
+        net._m.T[upper] = _CONVERSE_ARR[vals]
     return net

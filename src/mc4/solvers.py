@@ -145,9 +145,13 @@ class SolveOutcome:
     classification: TractabilityClass | None = None
 
 
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
 def is_valid_scenario(net: ConstraintNetwork, scenario: Scenario) -> bool:
     """True iff scenario holds one integer triple per pair of net, refines
-    its labels, and is algebraically closed; False on any other input.
+    its labels, and is algebraically closed; False on any other input,
+    booleans included.
 
     The pairs are scattered into an n-by-n code matrix c (converses below
     the diagonal, CG on it), so a missing or duplicated pair leaves a NONE
@@ -164,6 +168,10 @@ def is_valid_scenario(net: ConstraintNetwork, scenario: Scenario) -> bool:
     except ValueError:  # ragged
         return False
     if pairs.size and (pairs.dtype.kind not in "iu" or pairs.shape[1:] != (3,)):
+        return False
+    # numpy reads a bool among integers as an integer, so booleans are
+    # found by the type of each entry.
+    if not _BOOL_TYPES.isdisjoint(map(type, itertools.chain.from_iterable(scenario.pairs))):
         return False
     i, j, code = pairs.reshape(-1, 3).astype(np.int64).T
     if not np.all((0 <= i) & (i < j) & (j < n) & (0 <= code) & (code < 16)):

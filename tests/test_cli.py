@@ -1,6 +1,7 @@
 """Command-line interface: verdicts, exit codes, machine-readable output."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -76,6 +77,22 @@ def test_solve_inconsistent_exit_one(capsys, net_file):
     assert code == 1
     assert "consistent: no" in out
     assert "cycle_chord" in out
+
+
+def test_solve_text_output_lists_the_scenario(capsys, net_file):
+    text = "nodes: a bb c d\na bb : CGPP\nbb c : CGPPi\nc d : CG\nd a : CG|CGPPi|CNO\n"
+    code, out, _ = run(capsys, "solve", net_file(text), "--solver", "backtrack")
+    assert code == 0
+    assert out == (
+        "consistent: yes\n"
+        "solver: backtracking\n"
+        "  a bb : CGPP\n"
+        "  a c : CNO\n"
+        "  a d : CNO\n"
+        "  bb c : CGPPi\n"
+        "  bb d : CGPPi\n"
+        "  c d : CG\n"
+    )
 
 
 def test_solve_json_verdict_schema(capsys, net_file):
@@ -248,6 +265,14 @@ def test_gen_writes_parseable_network(capsys, tmp_path):
     assert len(net) == 6
     code, out, _ = run(capsys, "gen", "6", "--density", "1.0", "--palette", "m99", "--seed", "4")
     assert out == out_path.read_text()
+
+
+def test_gen_writes_the_same_bytes_for_a_seed(capsys):
+    code, out, _ = run(capsys, "gen", "300", "--palette", "general", "--density", "0.5",
+                       "--seed", "11")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "6092535d687577270e5f9778f8ad7bdf338b146794039c82f9e6b365f8e16f98"
 
 
 def test_gen_rejects_unknown_palette_token(capsys):

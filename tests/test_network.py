@@ -512,7 +512,7 @@ def naive_serialize(net):
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_serialize_matches_naive_formatter(data):
-    n = data.draw(st.integers(min_value=1, max_value=12))
+    n = data.draw(st.integers(min_value=1, max_value=40))
     names = data.draw(
         st.lists(
             st.text(alphabet="abcxyzAB_-.019é", min_size=1, max_size=6),
@@ -555,6 +555,36 @@ def test_random_network_is_deterministic_per_seed():
     c = random_network(6, 0.5, palette, rng=43)
     assert np.array_equal(a.to_array(), b.to_array())
     assert not np.array_equal(a.to_array(), c.to_array())
+
+
+def reference_random_network(n_vertices, density, palette, seed):
+    """random_network by integer-index scatters over np.triu_indices: the
+    same draws, written pair by pair into both orientations."""
+    rng = np.random.default_rng(seed)
+    codes = np.array([int(r) for r in palette], dtype=np.uint8)
+    m = np.full((n_vertices, n_vertices), 15, dtype=np.uint8)
+    np.fill_diagonal(m, 1)
+    rows, cols = np.triu_indices(n_vertices, k=1)
+    if rows.size:
+        hit = rng.random(rows.size) < density
+        drawn = codes[rng.integers(0, codes.size, size=rows.size)]
+        vals = np.where(hit, drawn, np.uint8(15)).astype(np.uint8)
+        m[rows, cols] = vals
+        m[cols, rows] = [int(converse(Relation(code))) for code in vals]
+    return m
+
+
+def test_random_network_matches_the_index_scatter():
+    rng = np.random.default_rng(2026)
+    for n in range(1, 41):
+        for density in (0.0, 1.0, float(rng.random())):
+            size = int(rng.integers(1, 17))
+            palette = tuple(Relation(c) for c in rng.choice(16, size=size, replace=False))
+            seed = int(rng.integers(0, 2**32))
+            net = random_network(n, density, palette, rng=seed)
+            want = reference_random_network(n, density, palette, seed)
+            assert net.to_array().dtype == want.dtype
+            assert np.array_equal(net.to_array(), want)
 
 
 def test_random_network_density_extremes():

@@ -860,6 +860,13 @@ def test_is_valid_scenario_rejects_wrong_shapes():
     assert not is_valid_scenario(net, Scenario(((i, j), *rest)))
     assert not is_valid_scenario(net, Scenario(((i, j, 2**70), *rest)))
     assert not is_valid_scenario(net_of(2, []), Scenario(((0, 1, 1.5),)))
+    # A bool is an int to numpy, so each of these would pass as (0, 1, CG)
+    # or (0, 2, CG) on a type-blind check.
+    assert is_valid_scenario(net_of(2, []), Scenario(((0, 1, 1),)))
+    for pair in ((0, 1, True), (False, True, 1), (0, 1, np.True_), (np.False_, 1, 1)):
+        assert not is_valid_scenario(net_of(2, []), Scenario((pair,)))
+    assert good.pairs[1] == (0, 2, 1)
+    assert not is_valid_scenario(net, Scenario((good.pairs[0], (0, 2, True), good.pairs[2])))
 
 
 def valid_by_intersection_and_closure(net, scenario):
