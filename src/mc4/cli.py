@@ -284,8 +284,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(scenario.as_json()))
     else:
-        for i, j, code in scenario.pairs:
-            print(f"{net.names[i]} {net.names[j]} : {format_rcc5(Rcc5(code))}")
+        names = net.names
+        token = [format_rcc5(Rcc5(code)) for code in range(32)]
+        sys.stdout.write(
+            "".join(f"{names[i]} {names[j]} : {token[code]}\n" for i, j, code in scenario.pairs)
+        )
     return 0
 
 

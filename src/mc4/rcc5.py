@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .algebra import EMPTY, UNIVERSAL, Relation, basics
+from .algebra import _RELATIONS, EMPTY, UNIVERSAL, Relation, basics
 from .solvers import Scenario
 
 
@@ -74,6 +74,10 @@ def to_rcc5(r: Relation) -> Rcc5:
     return out
 
 
+# int(to_rcc5(r)) by MC-4 code, so a scenario converts with one lookup per pair.
+_RCC5_CODE = tuple(int(to_rcc5(r)) for r in _RELATIONS)
+
+
 def envelope(r: Relation) -> Rcc5:
     """Every RCC-5 relation realizable by some placement respecting r."""
     out = RCC5_EMPTY
@@ -118,7 +122,4 @@ class Rcc5Scenario:
 
 def convert_scenario(scenario: Scenario) -> Rcc5Scenario:
     """RCC-5 scenario induced by an MC-4 scenario's witnessing placements."""
-    pairs = tuple(
-        (i, j, int(to_rcc5(Relation(code)))) for i, j, code in scenario.pairs
-    )
-    return Rcc5Scenario(pairs)
+    return Rcc5Scenario(tuple((i, j, _RCC5_CODE[code]) for i, j, code in scenario.pairs))

@@ -23,9 +23,9 @@ spectrum of label profiles:
   vertices, into primitive constraints — directed "fits inside or
   congruent" arcs (LEQ), "not congruent" edges (NLE), and for M99
   conditional pairs (EQX) "congruent once a LEQ path links them" — and
-  consistency reduces to reachability in one packed-bitset transitive
-  closure: mutually reachable regions are forced congruent, a conditional
-  pair whose path appears forces congruence too, and a contradiction is
+  consistency reduces to reachability in one boolean reach matrix:
+  mutually reachable regions are forced congruent, a conditional pair
+  whose path appears forces congruence too, and a contradiction is
   exactly an NLE edge inside one forced-equal cluster.
 
 solve() inspects the label profile via mc4.subalgebra.classify and
@@ -466,70 +466,52 @@ def to_gadget_m81(net: ConstraintNetwork) -> GadgetGraph:
 
 
 # ---------------------------------------------------------------------------
-# Reachability: packed-bitset transitive closure
+# Reachability: transitive closure and firing
 # ---------------------------------------------------------------------------
-
-
-def _reaches(reach: np.ndarray, u, v):
-    """Bit (u, v) of the packed closure: does u reach v?  Vectorizes."""
-    return ((reach[u, v >> 3] >> (v & 7)) & 1).astype(bool)
-
-
-def _reaching(reach: np.ndarray, v: int) -> np.ndarray:
-    """Mask of the vertices that reach v."""
-    return (reach[:, v >> 3] & (1 << (v & 7))) != 0
 
 
 def _closure(leq: np.ndarray) -> np.ndarray:
     """Reflexive-transitive closure of the LEQ arcs (Warshall, 1962).
 
-    Row u is a little-endian packed bitset of the vertices u reaches.
-    Pivoting on k ORs row k into every row that reaches k.  Once every
-    vertex reaches k and k reaches every vertex, every row is full and
-    the remaining pivots can change nothing.  leq must hold every loop.
+    Returns r, r[u, v] when u reaches v.  The rows are packed bitsets
+    only in here: pivoting on k ORs row k into every row that reaches k,
+    and once every vertex reaches k and k reaches every vertex, the rest
+    can change nothing.  leq must hold every loop.
     """
     n = len(leq)
     reach = np.packbits(leq, axis=1, bitorder="little")
     full = np.packbits(np.ones(n, dtype=bool), bitorder="little")
     for k in range(n):
-        above = _reaching(reach, k)
+        above = (reach[:, k >> 3] & (1 << (k & 7))) != 0
         reach[above] |= reach[k]
         if above.all() and np.array_equal(reach[k], full):
             break
-    return reach
+    return np.unpackbits(reach, axis=1, count=n, bitorder="little").view(bool)
 
 
 def detect_m99(g: GadgetGraph, names) -> tuple[bool, dict | None]:
     """Decide an M99 or M81 gadget graph.
 
-    Builds the reachability closure of the leq mask, then fires every
+    Builds the reach matrix r of the leq mask, then fires every
     conditional pair (a, b) with b reaching a: the path rules out the
-    unembeddable case, so a and b are congruent, and the arcs a <-> b are
-    added by ORing the joint reach set into every row that reaches either.
-    Firing repeats until nothing new fires.  At that fixpoint mutually
-    reachable vertices are congruent in every solution, hence an NLE edge
-    between two of them is a contradiction, and absent one, reading the
-    mutual-reachability classes as congruence classes yields a solution.
-    BSY edges are always satisfiable within whatever the LEQ arcs allow.
-    An M81 graph has no conditional pairs, so a single closure decides it.
-    A NONE label puts nothing into the graph; solve_m99 and solve_m81
-    answer it before building one.  The witness is the first contradicted
-    NLE pair, in row-major order over the upper triangle; its cycle is the
-    chord's mutual-reachability class.
+    unembeddable case, so a and b are congruent, and the arc a -> b is
+    added by ORing r[b] into every row that reaches a (b reaches a, so
+    r[b] holds r[a] and r stays closed).  Firing repeats until nothing new fires.  At that
+    fixpoint mutually reachable vertices are congruent in every solution,
+    hence an NLE edge between two of them is a contradiction, and absent
+    one, reading the mutual-reachability classes as congruence classes
+    yields a solution.  BSY edges are always satisfiable within whatever
+    the LEQ arcs allow.  An M81 graph has no conditional pairs, so a
+    single closure decides it.  A NONE label puts nothing into the graph;
+    solve_m99 and solve_m81 answer it before building one.  The witness
+    is the first contradicted NLE pair, in row-major order over the upper
+    triangle; its cycle is the chord's mutual-reachability class.
     """
-    reach = _closure(g.leq)
-    pending = np.argwhere(g.eqx)
-    while len(pending):
-        b_to_a = _reaches(reach, pending[:, 1], pending[:, 0])
-        fire = b_to_a & ~_reaches(reach, pending[:, 0], pending[:, 1])
-        if not fire.any():
-            break
-        for a, b in pending[fire].tolist():
-            if not _reaches(reach, a, b):
-                joint = reach[a] | reach[b]
-                reach[_reaching(reach, a) | _reaching(reach, b)] |= joint
-        pending = pending[~b_to_a]
-    r = np.unpackbits(reach, axis=1, count=len(g.leq), bitorder="little").view(bool)
+    r = _closure(g.leq)
+    while (fire := g.eqx & r.T & ~r).any():
+        for a, b in np.argwhere(fire).tolist():
+            if not r[a, b]:
+                r[r[:, a]] |= r[b]
     chord = _first_upper_pair(g.nle & r & r.T)
     if chord is None:
         return True, None

@@ -241,9 +241,7 @@ def test_enumerate_json_counts(capsys):
 def test_convert_network_to_rcc5(capsys, net_file):
     code, out, _ = run(capsys, "convert", net_file(CONSISTENT_TEXT))
     assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 3
-    assert all(":" in line for line in lines)
+    assert out == "a b : PP\na c : PO\nb c : PO\n"
     code, out, _ = run(capsys, "convert", net_file(INCONSISTENT_TEXT))
     assert code == 1
 

@@ -435,35 +435,49 @@ def label_read_scenario(net):
     )
 
 
-def test_path_consistency_decides_m99():
-    # On M99 labels path consistency agrees with the M99 decider, and the
-    # refined network's labels read off a scenario: random networks sparse
-    # enough that both verdicts occur, and planted ones with one label
-    # tightened to exclude its hidden case.
-    rng = np.random.default_rng(99)
-    palette = tuple(r for r in M99 if r not in (EMPTY, UNIVERSAL))
+def sparse_and_tightened_networks(rng, catalog):
+    """150 random networks over the catalog, sparse enough that both
+    verdicts occur, and 20 planted ones with one label tightened to exclude
+    its hidden case."""
+    palette = tuple(r for r in catalog if r not in (EMPTY, UNIVERSAL))
     nets = []
     for _ in range(150):
         n = int(rng.integers(2, 41))
         density = min(1.0, float(rng.uniform(0.5, 6)) / n)
         nets.append(random_network(n, density, palette, rng=rng))
     for _ in range(20):
-        net, hidden = planted_network(int(rng.integers(2, 41)), rng, M99)
+        net, hidden = planted_network(int(rng.integers(2, 41)), rng, catalog)
         tightenable = []
         for (i, j), base in hidden.items():
             tight = Relation(int(net._m[i, j]) & ~int(base))
-            if tight != EMPTY and tight in M99:
+            if tight != EMPTY and tight in catalog:
                 tightenable.append((i, j, tight))
         if tightenable:
             i, j, tight = tightenable[int(rng.integers(len(tightenable)))]
             net.add_constraint(f"v{i}", f"v{j}", tight)
         nets.append(net)
+    return nets
+
+
+def test_path_consistency_decides_m99():
+    # On M99 labels path consistency agrees with the M99 decider, and the
+    # refined network's labels read off a scenario.
     verdicts = set()
-    for net in nets:
+    for net in sparse_and_tightened_networks(np.random.default_rng(99), M99):
         ok, refined = path_consistency(net)
         assert ok == solve_m99(net).consistent
         if ok:
             assert is_valid_scenario(net, label_read_scenario(refined))
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+def test_path_consistency_decides_m81():
+    # The same verdicts on M81 labels.
+    verdicts = set()
+    for net in sparse_and_tightened_networks(np.random.default_rng(81), M81):
+        ok = path_consistency(net)[0]
+        assert ok == solve_m81(net).consistent
         verdicts.add(ok)
     assert verdicts == {True, False}
 
@@ -795,6 +809,67 @@ def test_m99_forcing_takes_two_rounds():
     # with CG allowed on (v3, v4) the forced merges are all satisfiable
     relaxed = net_of(5, constraints + [(3, 4, CG | CGPPI | CNO)])
     assert solve_m99(relaxed).consistent and solve_oracle(relaxed).consistent
+
+
+def reference_reach(arcs, n):
+    """Vertices each vertex reaches over the arc set, itself included."""
+    out = []
+    for u in range(n):
+        seen, stack = {u}, [u]
+        while stack:
+            w = stack.pop()
+            for x in range(n):
+                if (w, x) in arcs and x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        out.append(seen)
+    return out
+
+
+def reference_detect(g, names):
+    """detect_m99 from sets: close the LEQ arcs, add a -> b for every
+    conditional pair (a, b) whose b reaches a until none is new, and name
+    the first mutually reachable NLE pair of the upper triangle with its
+    mutual-reachability class."""
+    n = len(names)
+    arcs = set(map(tuple, np.argwhere(g.leq).tolist()))
+    eqx = np.argwhere(g.eqx).tolist()
+    while True:
+        reach = reference_reach(arcs, n)
+        new = {(a, b) for a, b in eqx if a in reach[b] and b not in reach[a]}
+        if not new:
+            break
+        arcs |= new
+    for u in range(n):
+        for v in range(u + 1, n):
+            if g.nle[u, v] and v in reach[u] and u in reach[v]:
+                cycle = [names[w] for w in range(n) if w in reach[u] and u in reach[w]]
+                return False, {"type": "cycle_chord", "cycle": cycle, "chord": [names[u], names[v]]}
+    return True, None
+
+
+def test_detect_matches_the_set_reference():
+    # Sparse gadgets keep both verdicts; dense ones collapse into one
+    # reachability class before any firing, where the closure stops early.
+    rng = np.random.default_rng(4)
+    verdicts, collapsed = set(), 0
+    for catalog, to_gadget in ((M99, to_gadget_m99), (M81, to_gadget_m81)):
+        palette = tuple(r for r in catalog if r not in (EMPTY, UNIVERSAL))
+        for k in range(150):
+            n = int(rng.integers(2, 61))
+            if k % 5 == 0:
+                density = float(rng.uniform(0.5, 1))
+            else:
+                density = min(1.0, float(rng.uniform(0.5, 4)) / n)
+            net = random_network(n, density, palette, rng=rng)
+            g = to_gadget(net)
+            expected = reference_detect(g, net.names)
+            assert detect_m99(g, net.names) == expected
+            verdicts.add(expected[0])
+            leq_arcs = set(map(tuple, np.argwhere(g.leq).tolist()))
+            collapsed += all(len(r) == n for r in reference_reach(leq_arcs, n))
+    assert verdicts == {True, False}
+    assert collapsed
 
 
 # ---------------------------------------------------------------------------
