@@ -29,7 +29,6 @@ mc4.solvers.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -143,97 +142,51 @@ def path_consistency(net: ConstraintNetwork) -> tuple[bool, ConstraintNetwork]:
     ok True means no local contradiction was found, which does not by
     itself guarantee consistency.
 
-    The fixpoint is reached by whole-matrix pivot sweeps, repeated until
-    one changes nothing; it is unique, so the labels are those of any other
-    propagation order.  On a contradiction refined holds the labels after
-    the first sweep that left a NONE (the input's, when it held one).
+    The fixpoint is reached by _propagate from every vertex as a pivot; it
+    is unique, so the labels are those of any other propagation order.  On
+    a contradiction refined holds the labels after the first sweep that
+    left a NONE (the input's, when it held one).
     """
     refined = net.copy()
-    m = refined._m
-    if not m.all():
-        return False, refined
-    while True:
+    return _propagate(refined._m, range(len(net))), refined
+
+
+def _propagate(m: np.ndarray, pivots: Sequence[int]) -> bool:
+    """Refine the label matrix m in place to its path-consistency fixpoint.
+
+    m must already be closed under every pivot outside pivots: for such a
+    k, every label (i, j) lies within label(i, k) composed with label(k, j).
+    Each round sweeps the pivots, and the next round's pivots are the ends
+    of every pair the sweep narrowed.  This is exact: the constraint
+    through a pivot k can break only when a pair touching k narrows, and
+    every such pair puts k back into the pivot set.  The fixpoint is
+    reached once a sweep narrows nothing.
+
+    Returns False when m holds a NONE, either on input or at the end of a
+    sweep, and stops there; otherwise returns True.
+    """
+    while m.all():
+        if not len(pivots):
+            return True
         before = m.copy()
-        _pivot_sweep(m)
-        if not m.all():
-            return False, refined
-        if np.array_equal(m, before):
-            return True, refined
+        _pivot_sweep(m, pivots)
+        pivots = np.flatnonzero((m != before).any(axis=0))
+    return False
 
 
-def _pivot_sweep(m: np.ndarray) -> np.ndarray:
-    """Sweep every pivot k over the label matrix m, in place; returns m.
+def _pivot_sweep(m: np.ndarray, pivots: Iterable[int]) -> np.ndarray:
+    """Sweep each pivot k in turn over the label matrix m, in place; returns m.
 
     Pivot k refines every label (i, j) by label(i, k) composed with
-    label(k, j), one numpy gather from the flattened composition table at
-    index label(i, k) * 16 + label(k, j).  Row and column k cannot change
-    at pivot k, as label (k, k) is CG, so each step equals the sequential
-    loop over i and j; orientations stay converse-coherent, as the
-    converse of a∘b is conv(b)∘conv(a).
+    label(k, j), in two numpy gathers from the 16-by-16 composition table:
+    its rows at column k of m, then their entries at row k of m.  Row and
+    column k cannot change at pivot k, as label (k, k) is CG, so each step
+    equals the sequential loop over i and j; orientations stay
+    converse-coherent, as the converse of a∘b is conv(b)∘conv(a).
     """
-    for k in range(len(m)):
-        m &= _COMPOSE_ARR.take(m[:, k, None] << 4 | m[k])
+    for k in pivots:
+        m &= _COMPOSE_ARR.take(m[:, k], axis=0).take(m[k], axis=1)
     return m
-
-
-def _revise(
-    m: list[list[int]],
-    pairs: Iterable[tuple[int, int]],
-    trail: list[tuple[int, int, int]],
-) -> bool:
-    """Refine the label matrix m in place from the ordered pairs to a fixpoint.
-
-    Each queued pair (i, j) refines the labels (i, k) and (k, j) of its
-    triangles, and queues each pair it changes.  A pair labeled ALL
-    refines nothing (composition with ALL gives ALL) and is skipped.  The
-    label (k, j) is refined through its converse (j, k), so each k reads
-    only the rows i and j.  Each write, the NONE one included, first
-    appends (row, column, old label) to trail; writing the old labels back
-    in reverse order undoes the call.  Returns False at the first label
-    refined to NONE (stored on both orientations), else True.
-    """
-    n = len(m)
-    compose_t = _COMPOSE_CODE
-    conv = _CONVERSE_CODE
-    push = trail.append
-    queue = deque(pairs)
-    queued = set(queue)
-    while queue:
-        i, j = queue.popleft()
-        queued.discard((i, j))
-        rij = m[i][j]
-        if rij == 15:
-            continue
-        row_ij = compose_t[rij]
-        row_ji = compose_t[conv[rij]]
-        mi = m[i]
-        mj = m[j]
-        for k in range(n):
-            if k == i or k == j:
-                continue
-            old = mi[k]
-            new = old & row_ij[mj[k]]
-            if new != old:
-                push((i, k, old))
-                mi[k] = new
-                m[k][i] = conv[new]
-                if new == 0:
-                    return False
-                if (i, k) not in queued:
-                    queue.append((i, k))
-                    queued.add((i, k))
-            old = mj[k]
-            new = old & row_ji[mi[k]]
-            if new != old:
-                push((j, k, old))
-                mj[k] = new
-                m[k][j] = conv[new]
-                if new == 0:
-                    return False
-                if (k, j) not in queued:
-                    queue.append((k, j))
-                    queued.add((k, j))
-    return True
 
 
 def is_algebraically_closed(net: ConstraintNetwork) -> bool:
@@ -247,7 +200,7 @@ def is_algebraically_closed(net: ConstraintNetwork) -> bool:
     itself at every pivot.
     """
     m = net._m
-    return bool(m.all()) and np.array_equal(_pivot_sweep(m.copy()), m)
+    return bool(m.all()) and np.array_equal(_pivot_sweep(m.copy(), range(len(m))), m)
 
 
 # ---------------------------------------------------------------------------

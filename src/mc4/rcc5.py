@@ -117,7 +117,7 @@ class Rcc5Scenario:
     pairs: tuple[tuple[int, int, int], ...]
 
     def as_json(self) -> dict:
-        return {"pairs": [[i, j, code] for i, j, code in self.pairs]}
+        return {"pairs": list(self.pairs)}
 
 
 def convert_scenario(scenario: Scenario) -> Rcc5Scenario:

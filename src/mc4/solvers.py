@@ -9,12 +9,12 @@ spectrum of label profiles:
   on any profile, exponential, and capped at a handful of vertices; it is
   the ground truth everything else is compared against.
 - solve_backtracking: path consistency plus branching on the two labels
-  outside M99 (CGPP|CGPPi and CG|CGPP|CGPPi).  Full path consistency runs
-  once, at the root, in whole-matrix pivot sweeps; after that the search
-  works on one label matrix, each branch propagates only from the pair it
-  narrowed, and a trail of old labels undoes a failed branch.  Path
-  consistency decides M99, so a node left inside M99 is consistent, and its
-  scenario is read from its labels.  Complete on any profile.
+  outside M99 (CGPP|CGPPi and CG|CGPP|CGPPi).  Path consistency runs from
+  every vertex at the root; after that each branch copies its parent's
+  label matrix and propagates from the two ends of the pair it narrowed,
+  with the same pivot sweeps.  Path consistency decides M99, so a node
+  left inside M99 is consistent, and its scenario is read from its labels.
+  Complete on any profile.
 - solve_trivial_core: profiles whose every label is NONE or contains a
   fixed core (CG, CNO, or CGPP|CGPPi).  Consistency is the absence of an
   explicit NONE label, and a one-shape canonical scenario always works.
@@ -66,7 +66,7 @@ from .network import (
     _CONVERSE_ARR,
     _POPCOUNT_ARR,
     ConstraintNetwork,
-    _revise,
+    _propagate,
     path_consistency,
 )
 from .subalgebra import Kind, TractabilityClass, classify
@@ -125,7 +125,7 @@ class Scenario:
     pairs: tuple[tuple[int, int, int], ...]
 
     def as_json(self) -> dict:
-        return {"pairs": [[i, j, code] for i, j, code in self.pairs]}
+        return {"pairs": list(self.pairs)}
 
 
 @dataclass(frozen=True)
@@ -307,10 +307,11 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
     only on those: on the first such label in row-major order, trying CGPP
     then CGPPi for the first and CG|CGPP then CGPPi for the second.  After
     each commitment it propagates only from the pair it narrowed: the
-    parent is at the path-consistency fixpoint, so only the triangles
-    through that pair can break.  The search works on one label matrix;
-    every write goes on a trail of old labels, which a failed child writes
-    back.  explored counts the commitments.
+    parent is at the path-consistency fixpoint, so only the constraints
+    through that pair's two ends can break, and _propagate pivots on those
+    two vertices first.  Each child is a copy of its parent's label matrix
+    with the committed label written in, so a failed child leaves its
+    parent untouched.  explored counts the commitments.
 
     Open pairs: those labelled outside M99 after root path consistency,
     handed on while still so.  A composition without CNO contains
@@ -329,36 +330,27 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
     if (witness := _bottom_witness(net)) is not None:
         return SolveOutcome(False, "backtracking", witness=witness)
     ok, refined = path_consistency(net)
-    m = refined._m.tolist()
-    conv = _CONVERSE_CODE
-    trail: list[tuple[int, int, int]] = []
     explored = 0
     scenario = None
 
-    def search(open_pairs: list[tuple[int, int]]) -> bool:
+    def search(m: np.ndarray, open_pairs: list[tuple[int, int]]) -> bool:
         nonlocal explored, scenario
-        still = [(i, j) for i, j in open_pairs if m[i][j] in _M99_SPLITS]
+        still = [(i, j) for i, j in open_pairs if m[i, j] in _M99_SPLITS]
         if not still:
-            scenario = _scenario_of(_LEAF_ATOM[np.array(m, dtype=np.uint8)].tolist())
+            scenario = _scenario_of(_LEAF_ATOM[m].tolist())
             return True
         i, j = still[0]
-        label = m[i][j]
-        for v in _M99_SPLITS[label]:
+        for v in _M99_SPLITS[m[i, j]]:
             explored += 1
-            mark = len(trail)
-            trail.append((i, j, label))
-            m[i][j] = v
-            m[j][i] = conv[v]
-            if _revise(m, [(i, j)], trail) and search(still):
+            child = m.copy()
+            child[i, j] = v
+            child[j, i] = _CONVERSE_CODE[v]
+            if _propagate(child, (i, j)) and search(child, still):
                 return True
-            while len(trail) > mark:
-                a, b, old = trail.pop()
-                m[a][b] = old
-                m[b][a] = conv[old]
         return False
 
     root_open = np.argwhere(np.triu(np.isin(refined._m, list(_M99_SPLITS)), k=1))
-    if ok and search(root_open.tolist()):
+    if ok and search(refined._m, root_open.tolist()):
         return SolveOutcome(True, "backtracking", scenario=scenario)
     return SolveOutcome(
         False,

@@ -95,6 +95,24 @@ def test_solve_text_output_lists_the_scenario(capsys, net_file):
     )
 
 
+def test_solve_json_output_is_pinned(capsys, net_file):
+    text = "nodes: a bb c d\na bb : CGPP\nbb c : CGPPi\nc d : CG\nd a : CG|CGPPi|CNO\n"
+    code, out, _ = run(capsys, "solve", net_file(text), "--solver", "backtrack", "--json")
+    assert code == 0
+    assert out == (
+        '{"consistent": true, "solver": "backtracking", "scenario": {"pairs": '
+        "[[0, 1, 2], [0, 2, 8], [0, 3, 8], [1, 2, 4], [1, 3, 4], [2, 3, 1]]}, "
+        '"witness": null}\n'
+    )
+    text = "nodes: a b c\na b : CG|CNO\nb c : CG|CNO\n"
+    code, out, _ = run(capsys, "solve", net_file(text), "--json")
+    assert code == 0
+    assert out == (
+        '{"consistent": true, "solver": "trivial-core", "scenario": {"pairs": '
+        '[[0, 1, 1], [0, 2, 1], [1, 2, 1]]}, "witness": null}\n'
+    )
+
+
 def test_solve_json_verdict_schema(capsys, net_file):
     for text in (CONSISTENT_TEXT, INCONSISTENT_TEXT):
         for solver in ("auto", "oracle", "backtrack", "m99"):

@@ -1,5 +1,7 @@
 """Constraint networks: construction, path consistency, text format."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,14 @@ from mc4.algebra import (
     ParseError,
     Relation,
     RelationSet,
+    _COMPOSE_CODE,
+    _CONVERSE_CODE,
     compose,
     converse,
     format_relation,
 )
 from mc4.network import (
     ConstraintNetwork,
-    _revise,
     is_algebraically_closed,
     parse_network,
     path_consistency,
@@ -221,14 +224,33 @@ def test_pc_propagates_composition_disjunction():
 
 
 def queue_path_consistency(net):
-    """Path consistency by the pair queue: _revise over all ordered pairs,
-    from the input labels.  Returns (ok, label matrix as lists)."""
-    labels = net.to_array().tolist()
-    n = len(labels)
-    if any(0 in row for row in labels):
-        return False, labels
-    ok = _revise(labels, [(i, j) for i in range(n) for j in range(n) if i != j], [])
-    return ok, labels
+    """Path consistency by a pair queue (close to Mackworth's PC-2), from
+    the input labels: each queued pair (i, j) refines the labels (i, k)
+    through j and (k, j) through i, and queues each pair it changes.
+    Returns (ok, label matrix as lists), stopping at the first NONE."""
+    m = net.to_array().tolist()
+    n = len(m)
+    if any(0 in row for row in m):
+        return False, m
+    queue = deque((i, j) for i in range(n) for j in range(n) if i != j)
+    queued = set(queue)
+    while queue:
+        i, j = queue.popleft()
+        queued.discard((i, j))
+        for k in range(n):
+            if k == i or k == j:
+                continue
+            for a, b, c in ((i, k, j), (k, j, i)):
+                new = m[a][b] & _COMPOSE_CODE[m[a][c]][m[c][b]]
+                if new != m[a][b]:
+                    m[a][b] = new
+                    m[b][a] = _CONVERSE_CODE[new]
+                    if not new:
+                        return False, m
+                    if (a, b) not in queued:
+                        queue.append((a, b))
+                        queued.add((a, b))
+    return True, m
 
 
 def planted_network(n, rng):
@@ -262,6 +284,13 @@ def test_pc_sweeps_match_the_pair_queue():
         random_network(int(rng.integers(2, 13)), float(rng.uniform(0.2, 1.0)), palette, rng=rng)
         for _ in range(400)
     ]
+    # The search's regime: CGPP|CGPPi and CNO, with and without their
+    # supersets, at n 20-40 and average degree 3-12.
+    for codes in ((6, 8), (6, 7, 8, 14)):
+        for _ in range(5):
+            n = int(rng.integers(20, 41))
+            degree = float(rng.uniform(3, 12))
+            nets.append(random_network(n, degree / (n - 1), [Relation(c) for c in codes], rng=rng))
     for n in (20, 30, 40, 60):
         # The clash keeps only base cases that path consistency removes
         # from the first pair it narrows, so a NONE must be derived.

@@ -10,11 +10,10 @@ from mc4.algebra import (
     _COMPOSE_CODE,
     basics,
     cardinality,
-    converse,
 )
 from mc4.network import (
     ConstraintNetwork,
-    _revise,
+    _propagate,
     is_algebraically_closed,
     path_consistency,
     random_network,
@@ -214,21 +213,28 @@ def test_backtracking_root_failure_is_an_exhausted_search():
     assert out.witness == {"type": "search_exhausted", "explored": 0}
 
 
-def test_revise_from_the_narrowed_pair_matches_full_path_consistency():
+def test_propagate_from_the_narrowed_pair_matches_full_path_consistency():
     # Narrowing one pair of a path-consistent network and propagating from
-    # that pair alone must reach the fixpoint full path consistency reaches.
-    # Each step narrows a random open pair to each of its base cases and
-    # walks on from a random child that survives.  On a contradiction only
-    # the verdict is compared: which label turns NONE first depends on the
-    # propagation order.
+    # that pair's two ends alone must reach the fixpoint full path
+    # consistency reaches.  Each step narrows a random open pair to each of
+    # its base cases and walks on from a random child that survives, for at
+    # most 40 steps.  On a contradiction only the verdict is compared: which
+    # labels hold NONE depends on the pivots swept.
     rng = np.random.default_rng(31)
     palette = tuple(Relation(c) for c in range(1, 15))
     nets = [random_network(int(rng.integers(3, 10)), 0.6, palette, rng=rng) for _ in range(40)]
     nets += [cno_chord_cycle(n) for n in range(5, 9)]
+    for codes in ((6, 8), (6, 7, 8, 14)):
+        for _ in range(4):
+            n = int(rng.integers(20, 41))
+            degree = float(rng.uniform(3, 12))
+            nets.append(random_network(n, degree / (n - 1), [Relation(c) for c in codes], rng=rng))
     verdicts = set()
     for net in nets:
         ok, closed = path_consistency(net)
-        while ok:
+        for _ in range(40):
+            if not ok:
+                break
             m = closed.to_array()
             n = len(m)
             open_pairs = [
@@ -242,50 +248,16 @@ def test_revise_from_the_narrowed_pair_matches_full_path_consistency():
                 child = closed.copy()
                 child.add_constraint(child.names[i], child.names[j], base)
                 expected_ok, expected = path_consistency(child)
-                labels = child.to_array().tolist()
-                assert _revise(labels, [(i, j)], []) == expected_ok
-                verdicts.add(expected_ok)
+                labels = child.to_array()
+                assert _propagate(labels, (i, j)) == expected_ok
+                verdicts.add((n >= 20, expected_ok))
                 if expected_ok:
-                    assert labels == expected.to_array().tolist()
+                    assert np.array_equal(labels, expected.to_array())
                     survivors.append(expected)
             ok = bool(survivors)
             if ok:
                 closed = survivors[int(rng.integers(len(survivors)))]
-    assert verdicts == {True, False}
-
-
-def test_revise_trail_undoes_every_write():
-    # Writing the trail's old labels back, newest first, restores the matrix
-    # whether _revise reaches a fixpoint or stops at a NONE.
-    rng = np.random.default_rng(37)
-    palettes = (tuple(Relation(c) for c in range(1, 15)), (CGPP | CGPPI, CNO))
-    verdicts = set()
-    for k in range(200):
-        ok, closed = path_consistency(
-            random_network(int(rng.integers(3, 12)), 0.8, palettes[k % 2], rng=rng)
-        )
-        before = closed.to_array().tolist()
-        n = len(before)
-        open_pairs = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if cardinality(Relation(before[i][j])) > 1
-        ]
-        if not ok or not open_pairs:
-            continue
-        i, j = open_pairs[int(rng.integers(len(open_pairs)))]
-        for base in basics(Relation(before[i][j])):
-            labels = [row[:] for row in before]
-            labels[i][j] = int(base)
-            labels[j][i] = int(converse(base))
-            trail = [(i, j, before[i][j])]
-            verdicts.add(_revise(labels, [(i, j)], trail))
-            for a, b, old in reversed(trail):
-                labels[a][b] = old
-                labels[b][a] = int(converse(Relation(old)))
-            assert labels == before
-    assert verdicts == {False, True}
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def reference_backtracking(net):
