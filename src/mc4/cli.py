@@ -84,7 +84,12 @@ _CATALOGS = {
 
 
 def _read_network(path: str) -> ConstraintNetwork:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    """Parse the network in a file, or on stdin for "-", read as UTF-8 with
+    or without a byte-order mark."""
+    if path == "-":
+        text = sys.stdin.buffer.read().decode("utf-8-sig")
+    else:
+        text = Path(path).read_text(encoding="utf-8-sig")
     return parse_network(text)
 
 

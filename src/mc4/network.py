@@ -21,6 +21,11 @@ nothing); the parser rejects self-loops without CG, while the programmatic
 ``add_constraint`` intersects the diagonal cell like any other, leaving
 NONE there.  Every contradiction is thus a NONE label in the matrix.
 
+``parse_network`` takes plain lines, four tokens ``NAME NAME : RELATION``
+with no comment, in bulk, a chunk of lines at a time; every other line goes
+through the grammar one line at a time.  Its errors, their messages, tokens
+and line numbers are those of a line-by-line reading of the same text.
+
 ``path_consistency`` is the workhorse approximation: it refines every label
 against all two-step paths until a fixpoint, detecting many inconsistencies
 cheaply, though not all — deciding consistency exactly is the job of
@@ -29,6 +34,7 @@ mc4.solvers.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,6 +56,7 @@ _CONVERSE_ARR = np.array(_CONVERSE_CODE, dtype=np.uint8)
 _POPCOUNT_ARR = np.array(_POPCOUNT, dtype=np.uint8)
 # Right-hand side of a serialized constraint line, by relation code.
 _FORMAT = tuple(" : " + format_relation(r) for r in _RELATIONS)
+_SPELLINGS = {format_relation(r): int(r) for r in _RELATIONS}
 
 
 class ConstraintNetwork:
@@ -63,14 +70,13 @@ class ConstraintNetwork:
     __slots__ = ("names", "_index", "_m")
 
     def __init__(self, names: Sequence[str]):
-        names = tuple(names)
-        if len(set(names)) != len(names):
+        self.names = tuple(names)
+        n = len(self.names)
+        self._index = dict(zip(self.names, range(n)))
+        if len(self._index) != n:
             raise ValueError("duplicate vertex name")
-        self.names = names
-        self._index = {name: k for k, name in enumerate(names)}
-        n = len(names)
         self._m = np.full((n, n), 15, dtype=np.uint8)
-        np.fill_diagonal(self._m, 1)
+        self._m.reshape(-1)[:: n + 1] = 1  # CG on the diagonal
 
     def __len__(self) -> int:
         return len(self.names)
@@ -208,8 +214,42 @@ def is_algebraically_closed(net: ConstraintNetwork) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# Classes of the code units parse_network scans: whitespace as str.split
+# sees it, and line breaks as str.splitlines sees them, each of which is
+# whitespace too.  No whitespace lies above U+3000, so wider code units are
+# clipped to the table's last entry, which is neither.
+_SPACE, _BREAK = 1, 3
+_UNIT_CLASS = np.zeros(0x3002, dtype=np.uint8)
+_UNIT_CLASS[[9, 0x1F, 0x20, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000]] = _SPACE
+_UNIT_CLASS[[*range(10, 14), 0x1C, 0x1D, 0x1E, 0x85, 0x2028, 0x2029]] = _BREAK
+_ASCII_CLASS = _UNIT_CLASS[:256].tobytes()  # the same table for bytes.translate
+# Characters tokenised at once, which bounds the tokens a large file holds.
+_CHUNK = 1 << 20
+
+
 def parse_network(text: str) -> ConstraintNetwork:
     """Parse the text format documented in the module docstring.
+
+    The text is read in chunks of whole lines, each ending after the last
+    '\\n' within _CHUNK characters (or the first after them).  One numpy
+    scan of a chunk's code units (_scan_lines) splits it into lines as
+    str.splitlines does and counts each line's tokens as str.split does.
+
+    Lines of four tokens are taken in bulk: one str.split of their text
+    gives the tokens, four a line, and one map over the vertex index and
+    one over the file's relation spellings resolve them.  Array operations
+    then check them and intersect them into the label matrix, in either
+    orientation.  The bulk step flags a line whose third token is not ':'
+    (such as 'a b:CG | CNO'), or that names an undeclared vertex, spells an
+    unknown relation or loops without CG.  A line that holds '#' is always
+    flagged, as no vertex name or relation spelling holds one, so every
+    line the bulk step keeps is plain: four tokens, the third ':', no '#'.
+
+    Every other non-blank line, the 'nodes:' line, comments, 'a b:CG' and
+    'CG | CGPP' among them, and every flagged line goes through
+    _parse_line, the grammar one line at a time, in line order.  So the
+    first bad line raises, and the ParseError, its message, token and line
+    number, is the one a loop over text.splitlines() would raise.
 
     Raises:
         ParseError: with a 1-based line number, on any malformed line,
@@ -217,71 +257,178 @@ def parse_network(text: str) -> ConstraintNetwork:
             self-loop whose relation excludes CG.
     """
     net: ConstraintNetwork | None = None
-    # Declarations are gathered as (lo, hi, code) with lo < hi and applied in
-    # one vectorised intersection; a file has only a few dozen distinct
-    # relation spellings, so each is parsed once.
-    codes: dict[str, int] = {}
-    lo: list[int] = []
-    hi: list[int] = []
-    vals: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
-        if not line:
-            continue
+    # Relation spellings to codes: the canonical ones serialize_network
+    # writes, and any other the file uses, parsed once.
+    spellings = dict(_SPELLINGS)
+    lineno = 1  # number of the next chunk's first line
+    pos = 0
+    while pos < len(text):
+        end = pos + _CHUNK
+        if end < len(text):
+            end = (text.rfind("\n", pos, end) + 1) or (text.find("\n", end) + 1) or len(text)
+        chunk = text[pos:end]
+        pos = end
+        ends, counts = _scan_lines(chunk)
+        first = lineno
+        lineno += len(ends)
+        head = 0  # lines before head are done: those up to 'nodes:'
         if net is None:
-            if line[:6].lower() != "nodes:":
-                raise ParseError("expected a 'nodes:' line before constraints", line=lineno)
-            names = line[6:].split()
-            if not names:
-                raise ParseError("'nodes:' line declares no vertices", line=lineno)
-            for name in names:
-                if ":" in name:
-                    raise ParseError(
-                        f"vertex name {name!r} may not contain ':'", token=name, line=lineno
-                    )
-            if len(set(names)) != len(names):
-                raise ParseError("duplicate vertex name", line=lineno)
-            net = ConstraintNetwork(names)
-            index = net._index
-            continue
-        left, colon, right = line.partition(":")
-        if not colon:
-            raise ParseError("expected 'NAME NAME : RELATION'", line=lineno)
-        parts = left.split()
-        if len(parts) != 2:
-            raise ParseError("expected exactly two vertex names before ':'", line=lineno)
-        u, v = parts
-        i = index.get(u)
-        if i is None:
-            raise ParseError(f"undeclared vertex {u!r}", token=u, line=lineno)
-        j = index.get(v)
-        if j is None:
-            raise ParseError(f"undeclared vertex {v!r}", token=v, line=lineno)
-        code = codes.get(right)
-        if code is None:
-            try:
-                code = codes[right] = int(parse_relation(right))
-            except ParseError as exc:
-                raise ParseError(str(exc), token=exc.token, line=lineno) from None
-        if i > j:
-            i, j, code = j, i, _CONVERSE_CODE[code]
-        elif i == j:
-            if not code & Relation.CG:
-                raise ParseError(
-                    f"self-loop on {u!r} excludes CG and is unsatisfiable", token=u, line=lineno
-                )
-            continue
-        lo.append(i)
-        hi.append(j)
-        vals.append(code)
+            for k in counts.nonzero()[0].tolist():
+                start, stop = _span(ends, k)
+                net = _parse_line(chunk[start:stop], first + k, None, spellings)
+                if net is not None:
+                    head = k + 1
+                    break
+            else:
+                continue
+        bulk = counts == 4
+        bulk[:head] = False
+        other = ((counts > 0) ^ bulk).nonzero()[0].tolist()
+        # Cut out the other lines with tokens, and the text of the bulk is
+        # left, four tokens a line.
+        cuts = [0]
+        for k in other:
+            cuts += _span(ends, k)
+        cuts.append(len(chunk))
+        tokens = "".join([chunk[a:b] for a, b in zip(cuts[::2], cuts[1::2])]).split()
+        n = len(tokens) // 4
+        us, vs, colons, rels = tokens[0::4], tokens[1::4], tokens[2::4], tokens[3::4]
+        # The maps without a default are the faster; after a miss, the maps
+        # with one mark the lines to flag.
+        try:
+            ij = np.fromiter(map(net._index.__getitem__, chain(us, vs)), np.intp, 2 * n)
+            codes = np.fromiter(map(spellings.__getitem__, rels), np.uint8, n)
+            unknown = False
+        except KeyError:  # a spelling not met before, or an undeclared name
+            for spelling in set(rels).difference(spellings):
+                try:
+                    spellings[spelling] = int(parse_relation(spelling))
+                except ParseError:
+                    pass  # its lines are flagged, and _parse_line reports the first
+            ij = np.fromiter(map(net._index.get, chain(us, vs), repeat(-1)), np.intp, 2 * n)
+            codes = np.fromiter(map(spellings.get, rels, repeat(16)), np.uint8, n)
+            unknown = True
+        i, j = ij[:n], ij[n:]
+        slow = [k for k in other if k >= head]
+        if unknown or np.count_nonzero(i == j) or colons.count(":") < n:
+            # Flag undeclared names, unknown relations, self-loops without
+            # CG, and lines whose third token is not ':' ('a b:CG | CNO').
+            flagged = (np.minimum(i, j) < 0) | (codes > 15) | ((i == j) & ((codes & 1) == 0))
+            flagged |= [c != ":" for c in colons]
+            slow = sorted(slow + bulk.nonzero()[0][flagged].tolist())
+            i, j, codes = i[~flagged], j[~flagged], codes[~flagged]
+        for k in slow:
+            start, stop = _span(ends, k)
+            _parse_line(chunk[start:stop], first + k, net, spellings)
+        # Declarations in either orientation meet: the label at (i, j) is
+        # intersected with the converse of the one at (j, i), and the pair's
+        # two cells are set together.  A CG self-loop leaves its cell CG.
+        flat, flip = i * len(net) + j, j * len(net) + i
+        m = net._m.reshape(-1)
+        np.bitwise_and.at(m, flat, codes)
+        both = m.take(flat) & _CONVERSE_ARR.take(m.take(flip))
+        m[flat] = both
+        m[flip] = _CONVERSE_ARR.take(both)
     if net is None:
         raise ParseError("no 'nodes:' line found")
-    if vals:
-        rows = np.array(lo, dtype=np.intp)
-        cols = np.array(hi, dtype=np.intp)
-        m = net._m
-        np.bitwise_and.at(m, (rows, cols), np.array(vals, dtype=np.uint8))
-        m[cols, rows] = _CONVERSE_ARR[m[rows, cols]]
+    return net
+
+
+def _scan_lines(chunk: str) -> tuple[np.ndarray, np.ndarray]:
+    """The lines of chunk, split as by str.splitlines, in two arrays.
+
+    For each line: where it ends (the offset of its line break, or the
+    length of chunk), and how many tokens str.split finds in it.  The '\\r'
+    of a CRLF ends its line as whitespace.
+    """
+    # The code units of " " + chunk, so that a token begins at offset k of
+    # chunk wherever unit k is whitespace and unit k + 1 is not.
+    if chunk.isascii():
+        raw = b" " + chunk.encode("ascii")
+        units = np.frombuffer(raw, dtype=np.uint8)
+        kind = np.frombuffer(raw.translate(_ASCII_CLASS), dtype=np.uint8)
+    else:
+        units = np.frombuffer((" " + chunk).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        kind = _UNIT_CLASS[np.minimum(units, len(_UNIT_CLASS) - 1)]
+    space = kind != 0
+    starts = (space[:-1] > space[1:]).nonzero()[0]
+    units = units[1:]
+    breaks = kind[1:] == _BREAK
+    if "\r" in chunk:  # a CRLF breaks its line at the '\n'
+        cr = (units[:-1] == 13).nonzero()[0]
+        breaks[cr[units[cr + 1] == 10]] = False
+    ends = breaks.nonzero()[0]
+    if not breaks[-1]:
+        ends = np.append(ends, len(units))
+    totals = starts.searchsorted(ends)
+    counts = totals.copy()
+    counts[1:] -= totals[:-1]
+    return ends, counts
+
+
+def _span(ends: np.ndarray, k: int) -> tuple[int, int]:
+    """Offsets of the start and the end of line k, as _scan_lines split it."""
+    return (int(ends[k - 1]) + 1 if k else 0), int(ends[k])
+
+
+def _parse_line(
+    raw: str,
+    lineno: int,
+    net: ConstraintNetwork | None,
+    spellings: dict[str, int],
+) -> ConstraintNetwork | None:
+    """Parse one line of the text format by its whole grammar.
+
+    Before the 'nodes:' line (net None), the first non-blank line must be
+    it, and the network it declares is returned.  After it, a constraint
+    line is intersected into the label matrix of net, which is returned.
+
+    Raises:
+        ParseError: at lineno, for every error parse_network reports.
+    """
+    line = raw.partition("#")[0].strip()
+    if not line:
+        return net
+    if net is None:
+        if line[:6].lower() != "nodes:":
+            raise ParseError("expected a 'nodes:' line before constraints", line=lineno)
+        names = line[6:].split()
+        if not names:
+            raise ParseError("'nodes:' line declares no vertices", line=lineno)
+        for name in names:
+            if ":" in name:
+                raise ParseError(
+                    f"vertex name {name!r} may not contain ':'", token=name, line=lineno
+                )
+        if len(set(names)) != len(names):
+            raise ParseError("duplicate vertex name", line=lineno)
+        return ConstraintNetwork(names)
+    left, colon, right = line.partition(":")
+    if not colon:
+        raise ParseError("expected 'NAME NAME : RELATION'", line=lineno)
+    parts = left.split()
+    if len(parts) != 2:
+        raise ParseError("expected exactly two vertex names before ':'", line=lineno)
+    u, v = parts
+    i = net._index.get(u)
+    if i is None:
+        raise ParseError(f"undeclared vertex {u!r}", token=u, line=lineno)
+    j = net._index.get(v)
+    if j is None:
+        raise ParseError(f"undeclared vertex {v!r}", token=v, line=lineno)
+    code = spellings.get(right)
+    if code is None:
+        try:
+            code = spellings[right] = int(parse_relation(right))
+        except ParseError as exc:
+            raise ParseError(str(exc), token=exc.token, line=lineno) from None
+    if i == j and not code & Relation.CG:
+        raise ParseError(
+            f"self-loop on {u!r} excludes CG and is unsatisfiable", token=u, line=lineno
+        )
+    m = net._m
+    m[i, j] &= code
+    m[j, i] = _CONVERSE_CODE[m[i, j]]
     return net
 
 

@@ -163,9 +163,27 @@ def test_solve_missing_file_exit_two(capsys, tmp_path):
 
 
 def test_solve_reads_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(CONSISTENT_TEXT))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(CONSISTENT_TEXT.encode())))
     code, out, _ = run(capsys, "solve", "-", "--json")
     assert code == 0
+    assert json.loads(out)["consistent"] is True
+
+
+BOM_TEXT = b"\xef\xbb\xbfnodes: a b\na b : CG\n"
+
+
+def test_solve_accepts_a_byte_order_mark_in_a_file(capsys, tmp_path):
+    path = tmp_path / "bom.net"
+    path.write_bytes(BOM_TEXT)
+    code, out, err = run(capsys, "solve", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["consistent"] is True
+
+
+def test_solve_accepts_a_byte_order_mark_on_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(BOM_TEXT)))
+    code, out, err = run(capsys, "solve", "-", "--json")
+    assert (code, err) == (0, "")
     assert json.loads(out)["consistent"] is True
 
 

@@ -1,5 +1,6 @@
 """Constraint networks: construction, path consistency, text format."""
 
+import random
 from collections import deque
 
 import numpy as np
@@ -18,8 +19,13 @@ from mc4.algebra import (
     compose,
     converse,
     format_relation,
+    parse_relation,
 )
+from mc4 import network
 from mc4.network import (
+    _BREAK,
+    _CONVERSE_ARR,
+    _UNIT_CLASS,
     ConstraintNetwork,
     is_algebraically_closed,
     parse_network,
@@ -381,6 +387,11 @@ def test_parse_duplicate_declarations_intersect():
     assert net.label("a", "b") == CG
 
 
+def test_parse_four_tokens_with_a_colon_opening_the_third():
+    net = parse_network("nodes: a b\na b :CG |CNO\n")
+    assert net.label("a", "b") == CG | CNO
+
+
 def test_parse_self_loop_with_cg_accepted():
     net = parse_network("nodes: a b\na a : CG|CNO\n")
     assert net.self_contradiction is None
@@ -416,13 +427,28 @@ def relation_spellings(draw):
     return r, text
 
 
+# Vertex names short and longer than 8 bytes, ASCII and not; whitespace that
+# str.split separates tokens by ("\x1f" ends no line); breaks that
+# str.splitlines ends lines at.
+_NAME_FORMS = (
+    "n{}", "Reg_{}", "region_number_{}", "r\u00e9gion{}", "\u533a\u57df{}", "\U0001d51e_{}"
+)
+_SEPARATORS = (" ", "\t", "  ", "\x1f", "\xa0", "\u3000")
+_LINE_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028")
+# A constraint line with the separators a, b and c, plain or not.
+_LINE_FORMS = ("{u}{a}{v}{b}:{c}{r}", "{u}{a}{v}:{r}", "{u}{a}{v}{b}:{r}", "{u}{a}{v}:{c}{r}")
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_parse_matches_one_add_constraint_per_declaration(data):
     n = data.draw(st.integers(min_value=1, max_value=30))
-    names = tuple(f"n{k}" if k % 3 else f"Reg_{k}" for k in range(n))
+    names = tuple(data.draw(st.sampled_from(_NAME_FORMS)).format(k) for k in range(n))
     reference = ConstraintNetwork(names)
-    lines = [data.draw(st.sampled_from(["nodes: ", "NODES:\t", "  Nodes:  "])) + " ".join(names)]
+    separator = st.sampled_from(_SEPARATORS)
+    lines = data.draw(st.lists(st.sampled_from(["", "   ", "# note", "\t# nodes: x"]), max_size=3))
+    head = data.draw(st.sampled_from(["nodes: ", "NODES:\t", "  Nodes:  ", "nodes:\u3000"]))
+    lines.append(head + data.draw(separator).join(names))
     vertex = st.integers(min_value=0, max_value=n - 1)
     for _ in range(data.draw(st.integers(min_value=0, max_value=80))):
         i = data.draw(vertex)
@@ -431,16 +457,27 @@ def test_parse_matches_one_add_constraint_per_declaration(data):
         if i == j and CG not in r:
             r, text = r | CG, "CG|" + text if r else "CG"
         reference.add_constraint(names[i], names[j], r)
-        sep = data.draw(st.sampled_from([" ", "\t", "  "]))
+        a, b, c = (data.draw(separator) for _ in range(3))
+        form = data.draw(st.sampled_from(_LINE_FORMS))
+        line = form.format(u=names[i], v=names[j], r=text, a=a, b=b, c=c)
         comment = data.draw(st.sampled_from(["", "  # why", "#x", "\t#"]))
-        lines.append(f"{names[i]}{sep}{names[j]}{sep}:{sep}{text}{comment}")
+        lines.append(line + comment)
         if data.draw(st.integers(min_value=0, max_value=5)) == 0:
             lines.append(data.draw(st.sampled_from(["", "   ", "# note", "\t"])))
-    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
-    net = parse_network(newline.join(lines) + newline)
+    breaks = [data.draw(st.sampled_from(_LINE_BREAKS)) for _ in lines]
+    breaks[-1] = data.draw(st.sampled_from(("", breaks[-1])))
+    net = parse_network("".join(map(str.__add__, lines, breaks)))
     assert net.names == names
     assert net.self_contradiction is None
     assert np.array_equal(net.to_array(), reference.to_array())
+
+
+def test_scan_tables_match_str_split_and_splitlines():
+    spaces = {c for c in range(0x110000) if chr(c).isspace()}
+    breaks = {c for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2}
+    assert max(spaces) < len(_UNIT_CLASS) - 1
+    assert set(np.flatnonzero(_UNIT_CLASS).tolist()) == spaces
+    assert set(np.flatnonzero(_UNIT_CLASS == _BREAK).tolist()) == breaks
 
 
 _PARSE_ERRORS = [
@@ -450,6 +487,8 @@ _PARSE_ERRORS = [
     ("nodes: a b\na z : CG\n", "undeclared", 2),
     ("nodes: a b\na z : XY\n", "undeclared", 2),
     ("nodes: a b\na b CG\n", "NAME NAME : RELATION", 2),
+    ("nodes: a b\na b CG CNO\n", "NAME NAME : RELATION", 2),
+    ("nodes: a b\na b :CG|CNO CG\n", "unknown relation", 2),
     ("nodes: a b\na b c : CG\n", "two vertex names", 2),
     ("nodes: a b\na b : CG|XY\n", "unknown relation", 2),
     ("nodes: a b\na a : CNO\n", "self-loop", 2),
@@ -491,6 +530,175 @@ def test_parse_reports_the_first_of_two_bad_lines():
         parse_network(text)
     assert info.value.line == 3
     assert "self-loop" in str(info.value)
+
+
+def reference_parse_network(text):
+    """The text-format parser as one loop over text.splitlines(), as it was
+    before parse_network took plain lines in bulk."""
+    net = None
+    codes = {}
+    lo = []
+    hi = []
+    vals = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        if net is None:
+            if line[:6].lower() != "nodes:":
+                raise ParseError("expected a 'nodes:' line before constraints", line=lineno)
+            names = line[6:].split()
+            if not names:
+                raise ParseError("'nodes:' line declares no vertices", line=lineno)
+            for name in names:
+                if ":" in name:
+                    raise ParseError(
+                        f"vertex name {name!r} may not contain ':'", token=name, line=lineno
+                    )
+            if len(set(names)) != len(names):
+                raise ParseError("duplicate vertex name", line=lineno)
+            net = ConstraintNetwork(names)
+            index = net._index
+            continue
+        left, colon, right = line.partition(":")
+        if not colon:
+            raise ParseError("expected 'NAME NAME : RELATION'", line=lineno)
+        parts = left.split()
+        if len(parts) != 2:
+            raise ParseError("expected exactly two vertex names before ':'", line=lineno)
+        u, v = parts
+        i = index.get(u)
+        if i is None:
+            raise ParseError(f"undeclared vertex {u!r}", token=u, line=lineno)
+        j = index.get(v)
+        if j is None:
+            raise ParseError(f"undeclared vertex {v!r}", token=v, line=lineno)
+        code = codes.get(right)
+        if code is None:
+            try:
+                code = codes[right] = int(parse_relation(right))
+            except ParseError as exc:
+                raise ParseError(str(exc), token=exc.token, line=lineno) from None
+        if i > j:
+            i, j, code = j, i, _CONVERSE_CODE[code]
+        elif i == j:
+            if not code & Relation.CG:
+                raise ParseError(
+                    f"self-loop on {u!r} excludes CG and is unsatisfiable", token=u, line=lineno
+                )
+            continue
+        lo.append(i)
+        hi.append(j)
+        vals.append(code)
+    if net is None:
+        raise ParseError("no 'nodes:' line found")
+    if vals:
+        rows = np.array(lo, dtype=np.intp)
+        cols = np.array(hi, dtype=np.intp)
+        m = net._m
+        np.bitwise_and.at(m, (rows, cols), np.array(vals, dtype=np.uint8))
+        m[cols, rows] = _CONVERSE_ARR[m[rows, cols]]
+    return net
+
+
+# A lone surrogate, as text decoded with errors="surrogateescape" holds.
+_CORPUS_NAMES = (
+    "a", "b", "c7", "region_number_12", "r\u00e9gion", "\u533a\u57df", "\U0001d51e", "x\udcff"
+)
+_CORPUS_BREAKS = ("\n",) * 6 + ("\r\n", "\r", "\x85", "\u2028", "\v")
+# Faulty lines, by kind, from two declared names u and v and a relation r.
+_NAME_FAULTS = {
+    "undeclared name": ("{u} zz{k} : {r}", "zz{k} {v} : {r}"),
+    "name holding ':'": ("{u}:x {v} : {r}", "{u} {v}:x : {r}"),
+}
+_STRUCTURAL_FAULTS = {
+    "dropped token": ("{u} : {r}", "{u} {v} :", "{v} {r}"),
+    "extra token": ("{u} {v} {u} : {r}", "{u} {v} : {r} {r}", "x {u} {v} : {r}"),
+    "bad spelling": ("{u} {v} : CG|XY", "{u} {v} : CGP", "{u} {v} :CNO|"),
+    "self-loop without CG": ("{u} {u} : CNO", "{v} {v} : CGPP|CGPPi"),
+    "missing colon": ("{u} {v} {r}", "{u} {v} CG|CNO", "{u} {v} {r} {r}"),
+}
+
+
+def _corpus_line(rng, names):
+    """A valid constraint line over names, plain or not."""
+    u, v = rng.choice(names), rng.choice(names)
+    r = format_relation(Relation(rng.randrange(16) | (u == v)))
+    if rng.random() < 0.3:
+        r = r.lower()
+    if rng.random() < 0.2:
+        r = " | ".join(r.split("|"))
+    form = rng.choice(
+        ("{u} {v} : {r}",) * 4
+        + ("{u}\t{v}\t:\t{r}", "{u} {v}:{r}", "{u} {v} :{r}", "  {u}  {v}  :  {r}  ")
+        + ("{u} {v} : {r}  # note", "#{u} {v} : {r}", "{u} {v} : {r}#", "{u} {v} :{r} #")
+    )
+    return form.format(u=u, v=v, r=r)
+
+
+def _fault(rng, names, kinds, k):
+    u, v = rng.sample(names, 2)
+    r = format_relation(Relation(rng.randrange(1, 16)))
+    return rng.choice(kinds[rng.choice(sorted(kinds))]).format(u=u, v=v, r=r, k=k)
+
+
+def corpus_text(seed):
+    """A seeded text of plain and irregular lines, and the same text with one
+    fault put in at a random line; one text in four has a second fault, a
+    name fault before a structural one or the reverse."""
+    rng = random.Random(seed)
+    names = rng.sample(_CORPUS_NAMES, rng.randrange(2, len(_CORPUS_NAMES) + 1))
+    lines = [rng.choice(("", "# header", "   ")) for _ in range(rng.randrange(3))]
+    lines.append("nodes: " + " ".join(names))
+    for _ in range(rng.randrange(1, 40)):
+        blank = rng.choice(("", "# c", "\t"))
+        lines.append(_corpus_line(rng, names) if rng.random() < 0.85 else blank)
+    faulty = list(lines)
+    kinds = [_NAME_FAULTS | _STRUCTURAL_FAULTS]
+    if seed % 4 == 0:
+        kinds = [_NAME_FAULTS, _STRUCTURAL_FAULTS]
+        if seed % 8 == 0:
+            kinds.reverse()
+    # Put the later fault in first, so the earlier one's place stays put.
+    places = sorted(rng.sample(range(len(faulty) + 1), len(kinds)), reverse=True)
+    for k, (place, kind) in enumerate(zip(places, reversed(kinds))):
+        faulty.insert(place, _fault(rng, names, kind, k))
+
+    def join(text):
+        breaks = [rng.choice(_CORPUS_BREAKS) for _ in text]
+        breaks[-1] = rng.choice(("", breaks[-1]))  # half the texts end without one
+        return "".join(map(str.__add__, text, breaks))
+
+    return join(lines), join(faulty)
+
+
+def _outcome(parse, text):
+    try:
+        net = parse(text)
+    except ParseError as exc:
+        return str(exc), exc.token, exc.line
+    return net.names, net.to_array().tobytes()
+
+
+@pytest.mark.parametrize("chunk", [network._CHUNK, 40], ids=["chunk-default", "chunk-40"])
+def test_parse_matches_the_line_loop_on_a_seeded_corpus(monkeypatch, chunk):
+    monkeypatch.setattr(network, "_CHUNK", chunk)
+    fragments = (
+        "undeclared vertex",
+        "two vertex names",
+        "unknown relation token",
+        "self-loop",
+        "NAME NAME : RELATION",
+        "before constraints",
+    )
+    met = set()
+    for seed in range(600):
+        for text in corpus_text(seed):
+            want = _outcome(reference_parse_network, text)
+            assert _outcome(parse_network, text) == want, (seed, text)
+            if len(want) == 3:
+                met.update(f for f in fragments if f in want[0])
+    assert met == set(fragments)
 
 
 def test_serialize_omits_all_and_round_trips():
