@@ -12,9 +12,11 @@ spectrum of label profiles:
   outside M99 (CGPP|CGPPi and CG|CGPP|CGPPi).  Path consistency runs from
   every vertex at the root; after that each branch copies its parent's
   label matrix and propagates from the two ends of the pair it narrowed,
-  with the same pivot sweeps.  Path consistency decides M99, so a node
-  left inside M99 is consistent, and its scenario is read from its labels.
-  Complete on any profile.
+  with the same pivot sweeps.  The branch pair is the first label outside
+  M99 in row-major order over the node's whole label matrix, and a node
+  with no such label is a leaf: path consistency decides M99, so a leaf is
+  consistent, and its scenario is read from its labels.  Complete on any
+  profile.
 - solve_trivial_core: profiles whose every label is NONE or contains a
   fixed core (CG, CNO, or CGPP|CGPPi).  Consistency is the absence of an
   explicit NONE label, and a one-shape canonical scenario always works.
@@ -304,53 +306,44 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
     full path consistency once, at the root: a root it rejects is a search
     exhausted before its first commitment, with explored 0.  Only
     CGPP|CGPPi and CG|CGPP|CGPPi fall outside M99, so the search branches
-    only on those: on the first such label in row-major order, trying CGPP
-    then CGPPi for the first and CG|CGPP then CGPPi for the second.  After
-    each commitment it propagates only from the pair it narrowed: the
-    parent is at the path-consistency fixpoint, so only the constraints
-    through that pair's two ends can break, and _propagate pivots on those
-    two vertices first.  Each child is a copy of its parent's label matrix
-    with the committed label written in, so a failed child leaves its
-    parent untouched.  explored counts the commitments.
+    only on those: on the first such label in row-major order over the
+    node's whole label matrix, trying CGPP then CGPPi for the first and
+    CG|CGPP then CGPPi for the second.  After each commitment it propagates
+    only from the pair it narrowed: the parent is at the path-consistency
+    fixpoint, so only the constraints through that pair's two ends can
+    break, and _propagate pivots on those two vertices first.  Each child
+    is a copy of its parent's label matrix with the committed label written
+    in, so a failed child leaves its parent untouched.  explored counts the
+    commitments.
 
-    Open pairs: those labelled outside M99 after root path consistency,
-    handed on while still so.  A composition without CNO contains
-    CGPP|CGPPi only as CG with the other operand, and the ends of a CG pair
-    have equal rows at the fixpoint, so a label that propagation narrows
-    outside M99 copies one that already was: once no open pair is outside
-    M99, no pair is.
-
-    Such a node is a leaf, and path consistency has decided it: its
-    scenario reads CG from CG, CGPP from CGPP and CG|CGPP, CGPPi from their
-    converses and CNO from every label holding CNO.  Its "inside or
-    congruent" relation is the pairs labelled CG, CGPP or CG|CGPP, a
-    preorder at the fixpoint (CG|CGPP composes with itself to CG|CGPP), so
-    the scenario is closed.
+    A node with no label outside M99 is a leaf, and path consistency has
+    decided it: its scenario reads CG from CG, CGPP from CGPP and CG|CGPP,
+    CGPPi from their converses and CNO from every label holding CNO.  Its
+    "inside or congruent" relation is the pairs labelled CG, CGPP or
+    CG|CGPP, a preorder at the fixpoint (CG|CGPP composes with itself to
+    CG|CGPP), so the scenario is closed.
     """
     if (witness := _bottom_witness(net)) is not None:
         return SolveOutcome(False, "backtracking", witness=witness)
     ok, refined = path_consistency(net)
     explored = 0
-    scenario = None
 
-    def search(m: np.ndarray, open_pairs: list[tuple[int, int]]) -> bool:
-        nonlocal explored, scenario
-        still = [(i, j) for i, j in open_pairs if m[i, j] in _M99_SPLITS]
-        if not still:
-            scenario = _scenario_of(_LEAF_ATOM[m].tolist())
-            return True
-        i, j = still[0]
+    def search(m: np.ndarray) -> Scenario | None:
+        nonlocal explored
+        pair = _first_upper_pair((m == 6) | (m == 7))
+        if pair is None:
+            return _scenario_of(_LEAF_ATOM[m].tolist())
+        i, j = pair
         for v in _M99_SPLITS[m[i, j]]:
             explored += 1
             child = m.copy()
             child[i, j] = v
             child[j, i] = _CONVERSE_CODE[v]
-            if _propagate(child, (i, j)) and search(child, still):
-                return True
-        return False
+            if _propagate(child, (i, j)) and (scenario := search(child)):
+                return scenario
+        return None
 
-    root_open = np.argwhere(np.triu(np.isin(refined._m, list(_M99_SPLITS)), k=1))
-    if ok and search(refined._m, root_open.tolist()):
+    if ok and (scenario := search(refined._m)):
         return SolveOutcome(True, "backtracking", scenario=scenario)
     return SolveOutcome(
         False,

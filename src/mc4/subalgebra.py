@@ -112,6 +112,12 @@ def has_np_hard_pattern(s: RelationSet) -> bool:
     Any closed set with those two members can encode transitive-orientation
     problems of arbitrary graphs, which makes its satisfiability NP-hard; the
     pattern is monotone, so it also certifies hardness of any superset.
+
+    The hardness needs ALL as well.  With CGPP|CGPPi or CNO on every pair,
+    consistency asks whether the CGPP|CGPPi pairs form a comparability
+    graph, which is polynomial (Golumbic 1977).  With ALL pairs allowed it
+    is the comparability sandwich problem, which is NP-complete (Golumbic,
+    Kaplan and Shamir, J. Algorithms 19, 1995).
     """
     return Relation.CNO in s and (Relation.CGPP | Relation.CGPPI) in s
 

@@ -296,18 +296,21 @@ def reference_m99_search(net):
     """The search solve_backtracking runs, with a full path-consistency run
     at every node: copy the network, commit one M99 half of the first label
     outside M99 in row-major order, close it again; a node with no such
-    label left is decided by solve_m99.  Returns (consistent, explored);
-    a root that fails path consistency explores nothing."""
+    label left is decided by solve_m99.  Returns (consistent, explored,
+    leaf), leaf the closed network of the accepting node or None; a root
+    that fails path consistency explores nothing."""
     explored = 0
+    leaf = None
 
     def search(cur):
-        nonlocal explored
+        nonlocal explored, leaf
         m = cur.to_array()
         n = len(cur)
         outside = [
             (i, j) for i in range(n) for j in range(i + 1, n) if Relation(m[i, j]) in M99_SPLITS
         ]
         if not outside:
+            leaf = cur
             return solve_m99(cur).consistent
         i, j = outside[0]
         for half in M99_SPLITS[Relation(m[i, j])]:
@@ -320,13 +323,17 @@ def reference_m99_search(net):
         return False
 
     ok, refined = path_consistency(net)
-    return ok and search(refined), explored
+    consistent = ok and search(refined)
+    return consistent, explored, leaf if consistent else None
 
 
 def test_backtracking_matches_the_full_path_consistency_search():
     # Verdicts against the atom-by-atom search; the search tree, through
-    # its node count, against the same M99 search run with full path
-    # consistency at every node.
+    # its node count and its accepting leaf, against the same M99 search
+    # run with full path consistency at every node.  The networks with
+    # n 20-40 and average degree 4-12 branch dozens of times, so they pin
+    # the branch order on deep searches; the atom-by-atom search is too
+    # slow for them.
     rng = np.random.default_rng(9)
     palette = tuple(Relation(c) for c in range(1, 15))
     nets = [
@@ -338,18 +345,31 @@ def test_backtracking_matches_the_full_path_consistency_search():
         nets.append(cno_chord_cycle(n))
         for _ in range(10):
             nets.append(cno_chord_cycle(n, lambda: chords[int(rng.integers(len(chords)))]))
+    small = len(nets)
+    palettes = ((CGPP | CGPPI, CNO), (CGPP | CGPPI, CG | CGPP | CGPPI, CNO, CGPP | CGPPI | CNO))
+    for k in range(40):
+        n = int(rng.integers(20, 41))
+        degree = float(rng.uniform(4, 12))
+        nets.append(random_network(n, degree / (n - 1), palettes[k % 2], rng=rng))
     witnesses = set()
-    for net in nets:
-        consistent, explored = reference_m99_search(net)
-        assert consistent == reference_backtracking(net)
+    deep = []
+    for k, net in enumerate(nets):
+        consistent, explored, leaf = reference_m99_search(net)
+        if k < small:
+            assert consistent == reference_backtracking(net)
         out = solve_backtracking(net)
         assert out.consistent == consistent
         if consistent:
             assert is_valid_scenario(net, out.scenario)
+            assert is_valid_scenario(leaf, out.scenario)
         else:
             assert out.witness == {"type": "search_exhausted", "explored": explored}
         witnesses.add(out.witness["type"] if out.witness else None)
+        if k >= small:
+            deep.append((consistent, explored))
     assert witnesses == {None, "search_exhausted"}
+    assert sum(explored >= 20 for _, explored in deep) >= 20
+    assert any(not consistent and explored > 0 for consistent, explored in deep)
 
 
 @pytest.mark.parametrize("catalog, decider", [(M99, solve_m99), (M81, solve_m81)])
@@ -454,9 +474,49 @@ def test_path_consistency_decides_m81():
     assert verdicts == {True, False}
 
 
+# The smallest path-consistency fixpoints inside M99 and M81 whose labels
+# are not minimal: the named pair keeps CG in its label, yet no scenario
+# puts CG there.
+M99_FIXPOINT = (
+    (0, 1, CG | CNO),
+    (0, 2, CGPP | CNO),
+    (0, 3, CG | CGPP | CNO),
+    (1, 2, CG | CGPP),
+    (1, 3, CG | CGPP),
+    (2, 3, CG | CGPP | CNO),
+)
+M81_FIXPOINT = (
+    (0, 1, CGPP | CGPPI),
+    (0, 2, CG | CGPPI),
+    (0, 3, CG | CGPP),
+    (1, 2, CG | CGPPI),
+    (1, 3, CG | CGPP),
+    (2, 3, CG | CGPP),
+)
+
+
+@pytest.mark.parametrize(
+    "constraints, solver, pair",
+    [(M99_FIXPOINT, "m99", (0, 3)), (M81_FIXPOINT, "m81", (2, 3))],
+)
+def test_path_consistency_fixpoint_is_not_minimal(constraints, solver, pair):
+    net = net_of(4, constraints)
+    ok, refined = path_consistency(net)
+    assert ok
+    assert np.array_equal(refined.to_array(), net.to_array())
+    out = solve(net)
+    assert (out.consistent, out.solver) == (True, solver)
+    i, j = pair
+    assert CG in Relation(int(net.to_array()[i, j]))
+    narrowed = net.copy()
+    narrowed.add_constraint(f"v{i}", f"v{j}", CG)
+    assert not solve_oracle(narrowed).consistent
+
+
 def test_compositions_outside_m99_without_cno_come_from_cg():
-    # The search's open list rests on this: a composition that holds no CNO
-    # but holds CGPP|CGPPi is CG composed with the other operand.
+    # Propagation moves a label out of M99 only by copying one: a
+    # composition that holds no CNO but holds CGPP|CGPPi is CG composed
+    # with the other operand.
     for x in range(1, 16):
         for y in range(1, 16):
             out = _COMPOSE_CODE[x][y]
