@@ -239,7 +239,11 @@ def solve_oracle(net: ConstraintNetwork, max_vertices: int = 6) -> SolveOutcome:
     Complete for any label profile but exponential in the number of pairs,
     hence the hard cap on vertices.  Pairs are assigned vertex by vertex
     (all pairs into vertex 2, then into vertex 3, ...) so that every new
-    assignment closes triangles only against already-assigned pairs.
+    assignment closes triangles only against already-assigned pairs.  The
+    pending choices, (pair index, base case) with the next one last, live
+    on an explicit stack, so the depth of the search is not bounded by
+    Python's recursion limit; the pairs before the current index hold the
+    current path's assignments.  explored counts the base cases tried.
     """
     n = len(net)
     if n > max_vertices:
@@ -254,40 +258,33 @@ def solve_oracle(net: ConstraintNetwork, max_vertices: int = 6) -> SolveOutcome:
     compose_t = _COMPOSE_CODE
     conv = _CONVERSE_CODE
     sol = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    explored = 0
-
-    def dfs(t: int) -> bool:
-        nonlocal explored
-        if t == len(pairs):
-            return True
+    # t pairs are assigned on the current path; ok: its last choice held.
+    explored, t, ok = 0, 0, True
+    todo: list[tuple[int, int]] = []
+    while ok or todo:
+        if ok:
+            if t == len(pairs):
+                return SolveOutcome(True, "oracle", scenario=_scenario_of(sol))
+            todo += [(t, v) for v in reversed(BASIC_CODES) if labels[t] & v]
+        t, v = todo.pop()
+        explored += 1
         b, c = pairs[t]
-        sol_b = [sol[a][b] for a in range(b)]
-        sol_c = [sol[a][c] for a in range(b)]
-        for v in BASIC_CODES:
-            if not labels[t] & v:
-                continue
-            explored += 1
-            cv = conv[v]
+        cv = conv[v]
+        ok = False
+        for a in range(b):
+            x = sol[a][b]
+            y = sol[a][c]
+            if not (
+                compose_t[x][v] & y
+                and compose_t[y][cv] & x
+                and compose_t[conv[x]][y] & v
+            ):
+                break
+        else:
+            sol[b][c] = v
+            sol[c][b] = cv
+            t += 1
             ok = True
-            for a in range(b):
-                x = sol_b[a]
-                y = sol_c[a]
-                if not (
-                    compose_t[x][v] & y
-                    and compose_t[y][cv] & x
-                    and compose_t[conv[x]][y] & v
-                ):
-                    ok = False
-                    break
-            if ok:
-                sol[b][c] = v
-                sol[c][b] = cv
-                if dfs(t + 1):
-                    return True
-        return False
-
-    if dfs(0):
-        return SolveOutcome(True, "oracle", scenario=_scenario_of(sol))
     return SolveOutcome(
         False, "oracle", witness={"type": "search_exhausted", "explored": explored}
     )
@@ -313,8 +310,10 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
     fixpoint, so only the constraints through that pair's two ends can
     break, and _propagate pivots on those two vertices first.  Each child
     is a copy of its parent's label matrix with the committed label written
-    in, so a failed child leaves its parent untouched.  explored counts the
-    commitments.
+    in, so a failed child leaves its parent untouched.  The pending
+    choices, (parent matrix, pair, label) with the next one last, live on
+    an explicit stack, so the depth of the search is not bounded by
+    Python's recursion limit.  explored counts the commitments.
 
     A node with no label outside M99 is a leaf, and path consistency has
     decided it: its scenario reads CG from CG, CGPP from CGPP and CG|CGPP,
@@ -326,25 +325,23 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
     if (witness := _bottom_witness(net)) is not None:
         return SolveOutcome(False, "backtracking", witness=witness)
     ok, refined = path_consistency(net)
+    m = refined._m
     explored = 0
-
-    def search(m: np.ndarray) -> Scenario | None:
-        nonlocal explored
-        pair = _first_upper_pair((m == 6) | (m == 7))
-        if pair is None:
-            return _scenario_of(_LEAF_ATOM[m].tolist())
-        i, j = pair
-        for v in _M99_SPLITS[m[i, j]]:
-            explored += 1
-            child = m.copy()
-            child[i, j] = v
-            child[j, i] = _CONVERSE_CODE[v]
-            if _propagate(child, (i, j)) and (scenario := search(child)):
-                return scenario
-        return None
-
-    if ok and (scenario := search(refined._m)):
-        return SolveOutcome(True, "backtracking", scenario=scenario)
+    # ok: the node m survived propagation, so it branches or is a leaf.
+    todo: list[tuple[np.ndarray, tuple[int, int], int]] = []
+    while ok or todo:
+        if ok:
+            pair = _first_upper_pair((m == 6) | (m == 7))
+            if pair is None:
+                scenario = _scenario_of(_LEAF_ATOM[m].tolist())
+                return SolveOutcome(True, "backtracking", scenario=scenario)
+            todo += [(m, pair, v) for v in reversed(_M99_SPLITS[m[pair]])]
+        parent, (i, j), v = todo.pop()
+        explored += 1
+        m = parent.copy()
+        m[i, j] = v
+        m[j, i] = _CONVERSE_CODE[v]
+        ok = _propagate(m, (i, j))
     return SolveOutcome(
         False,
         "backtracking",

@@ -8,8 +8,10 @@ import json
 import jsonschema
 import pytest
 
+from mc4.algebra import Relation
 from mc4.cli import main
-from mc4.network import parse_network
+from mc4.network import parse_network, random_network, serialize_network
+from mc4.subalgebra import Kind, classify
 
 CONSISTENT_TEXT = "nodes: a b c\na b : CG|CGPP\nb c : CNO\n"
 INCONSISTENT_TEXT = "nodes: a b c\na b : CGPP\nb c : CG|CGPP\nc a : CG|CGPP\n"
@@ -280,6 +282,18 @@ def test_convert_network_to_rcc5(capsys, net_file):
     assert out == "a b : PP\na c : PO\nb c : PO\n"
     code, out, _ = run(capsys, "convert", net_file(INCONSISTENT_TEXT))
     assert code == 1
+
+
+def test_convert_runs_a_search_deeper_than_the_recursion_limit(capsys, net_file):
+    # An M81 network at n=120 whose scenario comes from convert's fallback to
+    # the backtracking search, down a path longer than Python's default
+    # recursion limit could stack as nested calls.
+    net = random_network(120, 0.15, (Relation.CGPP | Relation.CGPPI,), rng=1)
+    net.add_constraint("v0", "v1", Relation.CG | Relation.CGPP)
+    assert classify(net.relation_profile()).kind is Kind.MAX_M81
+    code, out, _ = run(capsys, "convert", net_file(serialize_network(net)), "--json")
+    assert code == 0
+    assert len(json.loads(out)["pairs"]) == 7140
 
 
 def test_convert_single_relation(capsys):

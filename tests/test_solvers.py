@@ -1,5 +1,7 @@
 """Consistency deciders: oracle, backtracking, trivial-core, M99/M81."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from mc4.network import (
     ConstraintNetwork,
     _propagate,
     is_algebraically_closed,
+    parse_network,
     path_consistency,
     random_network,
 )
@@ -41,6 +44,8 @@ CG = Relation.CG
 CGPP = Relation.CGPP
 CGPPI = Relation.CGPPI
 CNO = Relation.CNO
+
+DATA = Path(__file__).parent / "data"
 
 
 def net_of(n, constraints):
@@ -98,6 +103,27 @@ def test_oracle_rejects_containment_cycle():
     assert out.scenario is None
     assert out.witness["type"] == "search_exhausted"
     assert out.witness["explored"] > 0
+
+
+def test_oracle_search_order_is_pinned():
+    # Exact counts of the base cases the oracle tries before it gives up, on
+    # the path-consistency gap witness and on seeded inconsistent networks
+    # with n 4-6 (n = 4 + seed % 3), fix the order of its pairs; an
+    # exhausted search visits the same tree whatever order it tries the
+    # base cases in, so the first scenario it finds on seeded consistent
+    # networks (codes in hex, pairs row by row) fixes that order.
+    with open(DATA / "pc_gap_witness.net") as fh:
+        out = solve_oracle(parse_network(fh.read()))
+    assert out.witness == {"type": "search_exhausted", "explored": 30}
+    palette = tuple(Relation(c) for c in range(1, 15))
+    pins = {1: 1472, 2: 237, 8: 81, 14: 82, 16: 5, 17: 49, 20: 103, 22: 115, 23: 59, 25: 90, 30: 5}
+    for seed, explored in pins.items():
+        out = solve_oracle(random_network(4 + seed % 3, 0.8, palette, rng=seed))
+        assert out.witness == {"type": "search_exhausted", "explored": explored}
+    pins = {5: "112281228228144", 7: "4144218448", 11: "144844484822224", 18: "821884"}
+    for seed, codes in pins.items():
+        out = solve_oracle(random_network(4 + seed % 3, 0.8, palette, rng=seed))
+        assert "".join(f"{code:x}" for _, _, code in out.scenario.pairs) == codes
 
 
 def test_oracle_scenario_covers_unconstrained_pairs():
@@ -410,6 +436,18 @@ def test_backtracking_decides_the_hard_cgpp_cgppi_cno_instance():
     net = random_network(60, 12 / 59, (CGPP | CGPPI, CNO), rng=0)
     out = solve_backtracking(net)
     assert out.witness == {"type": "search_exhausted", "explored": 266}
+
+
+def test_backtracking_search_runs_deeper_than_the_recursion_limit():
+    # 120 vertices at density 0.15 over CGPP|CGPPi, with (v0, v1) narrowed
+    # to CNO: the accepting path commits on more pairs than Python's default
+    # recursion limit could stack as nested calls.
+    net = random_network(120, 0.15, (CGPP | CGPPI,), rng=1)
+    net.add_constraint("v0", "v1", CNO)
+    assert net._m[0, 1] == CNO
+    out = solve(net)
+    assert out.consistent and out.solver == "backtracking"
+    assert is_valid_scenario(net, out.scenario)
 
 
 def label_read_scenario(net):
