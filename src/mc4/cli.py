@@ -363,9 +363,8 @@ def bench_rows(
         raise ValueError(f"bench needs at least one instance, got {instances}")
     rows = []
     for solver_index, solver_name in enumerate(solvers):
-        fn = solve_m99 if solver_name == "m99" else solve_m81
-        catalog = M99 if solver_name == "m99" else M81
-        palette = tuple(r for r in catalog if r not in (EMPTY, UNIVERSAL))
+        fn = _FORCED_SOLVERS[solver_name]
+        palette = _parse_palette(solver_name)
         for size_index, n in enumerate(sizes):
             times_us = []
             for k in range(instances):

@@ -58,10 +58,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    EMPTY,
     Relation,
+    RelationSet,
     _COMPOSE_CODE,
     _CONVERSE_CODE,
     _RELATIONS,
+    compose,
     format_relation,
 )
 from .network import (
@@ -71,40 +74,26 @@ from .network import (
     _propagate,
     path_consistency,
 )
-from .subalgebra import Kind, TractabilityClass, classify
+from .subalgebra import EQX, LEQ, M81, M99, NLE, Kind, TractabilityClass, classify
 
 BASIC_CODES = (1, 2, 4, 8)
 
-# Gadget translation table: relation code -> (M99 kinds, M81 kinds), each a
-# bit set of the primitive constraints the label on (i, j) puts on that
-# ordered pair: _LEQ the arc i -> j, _EQX the conditional pair (i, j), _NLE
-# a "not congruent" edge.  The label on (j, i) is the converse, so its row
-# supplies the reverse arc and pair: CGPPi gets only _NLE, because its arc
-# comes from the CGPP on the converse side.  A zero entry (NONE, ALL, and
-# CG|CGPP|CGPPi in M81) adds nothing; NONE labels are answered before any
-# gadget is read.
+# Gadget kinds: relation code -> a bit set of the primitive constraints a
+# label puts on its ordered pair (_LEQ, _EQX, _NLE; to_gadget_m99 states
+# the rule), plus _REJECT for a label outside the decider's catalog.
 _LEQ, _EQX, _NLE, _REJECT = (1 << k for k in range(4))
-_GADGET_KINDS = np.array(
-    [
-        (0, 0),                          # NONE
-        (_LEQ, _LEQ),                    # CG
-        (_LEQ | _NLE, _LEQ | _NLE),      # CGPP
-        (_LEQ, _LEQ),                    # CG|CGPP
-        (_NLE, _NLE),                    # CGPPi
-        (0, 0),                          # CG|CGPPi
-        (_REJECT, _NLE),                 # CGPP|CGPPi
-        (_REJECT, 0),                    # CG|CGPP|CGPPi
-        (_EQX | _NLE, _REJECT),          # CNO
-        (_EQX, _REJECT),                 # CG|CNO
-        (_EQX | _NLE, _REJECT),          # CGPP|CNO
-        (_EQX, _REJECT),                 # CG|CGPP|CNO
-        (_NLE, _REJECT),                 # CGPPi|CNO
-        (0, _REJECT),                    # CG|CGPPi|CNO
-        (_NLE, _NLE),                    # CGPP|CGPPi|CNO
-        (0, 0),                          # ALL
-    ],
-    dtype=np.uint8,
-)
+
+
+def _kinds(r: Relation, catalog: RelationSet) -> int:
+    bits = _REJECT * (r not in catalog)
+    if r != EMPTY:
+        bits |= _LEQ * (r in LEQ) | _NLE * (r in NLE)
+        bits |= _EQX * (Relation.CNO in r and r in compose(LEQ, EQX))
+    return bits
+
+
+_M99_KINDS = np.array([_kinds(r, M99) for r in _RELATIONS], dtype=np.uint8)
+_M81_KINDS = np.array([_kinds(r, M81) for r in _RELATIONS], dtype=np.uint8)
 
 # The two labels outside M99 -> the M99 labels the search splits them into.
 _M99_SPLITS = {6: (2, 4), 7: (3, 4)}
@@ -402,8 +391,8 @@ class GadgetGraph:
     nle: np.ndarray
 
 
-def _to_gadget(net: ConstraintNetwork, column: int, class_name: str) -> GadgetGraph:
-    kinds = _GADGET_KINDS[:, column][net._m]
+def _to_gadget(net: ConstraintNetwork, table: np.ndarray, class_name: str) -> GadgetGraph:
+    kinds = table.take(net._m)
     _check_profile(net, (kinds & _REJECT) != 0, f"is outside {class_name}")
     return GadgetGraph(
         leq=(kinds & _LEQ) != 0,
@@ -415,36 +404,37 @@ def _to_gadget(net: ConstraintNetwork, column: int, class_name: str) -> GadgetGr
 def to_gadget_m99(net: ConstraintNetwork) -> GadgetGraph:
     """Translate an M99-profile network into primitive constraints.
 
-    Labels without CNO map to LEQ arcs and NLE edges (CG to a two-way arc
-    pair, CGPP to an arc plus NLE, and so on).  A label with CNO allows
-    the unembeddable case, which a LEQ path between its endpoints rules
-    out; it becomes conditional pairs that force congruence once such a
-    path exists.  CNO and CG|CNO on (i, j) set eqx at both (i, j) and
-    (j, i); CGPP|CNO and CG|CGPP|CNO set (i, j), since a path j -> i
-    leaves only CG; CGPPi|CNO and CG|CGPPi|CNO set (j, i).  Each mask is
-    read from the label matrix with one table lookup.
+    A label R on (i, j) sets leq[i, j] when R is within LEQ = CG|CGPP,
+    nle[i, j] when R is within NLE = CGPP|CGPPi|CNO, and eqx[i, j] when R
+    holds CNO and is within compose(LEQ, EQX) = CG|CGPP|CNO: a LEQ path
+    j -> i then leaves only CG, so the conditional pair forces congruence
+    once such a path exists.  NONE is within every relation but sets
+    nothing; the deciders answer it before translating.  The label on
+    (j, i) is the converse of R, so its own entry supplies the reverse arc
+    and pair.  The three masks are read from the label matrix with one
+    lookup in a table derived from this rule and the M99 catalog.
 
     Raises:
-        ProfileError: on a label outside M99 (one containing exactly
-            CGPP and CGPPi of the non-CG cases).
+        ProfileError: on a label outside M99 (CGPP|CGPPi or
+            CG|CGPP|CGPPi).
     """
-    return _to_gadget(net, 0, "the M99 subalgebra")
+    return _to_gadget(net, _M99_KINDS, "the M99 subalgebra")
 
 
 def to_gadget_m81(net: ConstraintNetwork) -> GadgetGraph:
     """Translate an M81-profile network into primitive constraints.
 
-    Every M81 label is an intersection of LEQ arcs, BSY ("congruent or
-    one inside the other") edges and NLE edges; there are no conditional
-    pairs, so eqx is all False.  BSY edges are always satisfiable within
-    whatever the LEQ arcs allow, so they are left out of the graph.
+    The rule of to_gadget_m99, over the M81 catalog.  Every M81 label that
+    holds CNO also holds CGPPi, so none is within CG|CGPP|CNO and eqx is
+    all False.  BSY ("congruent or one inside the other") edges are always
+    satisfiable within whatever the LEQ arcs allow, so they are left out of
+    the graph.
 
     Raises:
-        ProfileError: on a label outside M81 (one pairing CNO with
-            neither or both of CGPP/CGPPi absent — every code from CNO
-            alone through CG|CNO mixtures).
+        ProfileError: on a label outside M81 (one holding CNO but not both
+            CGPP and CGPPi).
     """
-    return _to_gadget(net, 1, "the M81 subalgebra")
+    return _to_gadget(net, _M81_KINDS, "the M81 subalgebra")
 
 
 # ---------------------------------------------------------------------------
@@ -474,20 +464,20 @@ def _closure(leq: np.ndarray) -> np.ndarray:
 def detect_m99(g: GadgetGraph, names) -> tuple[bool, dict | None]:
     """Decide an M99 or M81 gadget graph.
 
-    Builds the reach matrix r of the leq mask, then fires every
-    conditional pair (a, b) with b reaching a: the path rules out the
-    unembeddable case, so a and b are congruent, and the arc a -> b is
-    added by ORing r[b] into every row that reaches a (b reaches a, so
-    r[b] holds r[a] and r stays closed).  Firing repeats until nothing new fires.  At that
-    fixpoint mutually reachable vertices are congruent in every solution,
-    hence an NLE edge between two of them is a contradiction, and absent
-    one, reading the mutual-reachability classes as congruence classes
-    yields a solution.  BSY edges are always satisfiable within whatever
-    the LEQ arcs allow.  An M81 graph has no conditional pairs, so a
-    single closure decides it.  A NONE label puts nothing into the graph;
-    solve_m99 and solve_m81 answer it before building one.  The witness
-    is the first contradicted NLE pair, in row-major order over the upper
-    triangle; its cycle is the chord's mutual-reachability class.
+    Builds the reach matrix r of the leq mask, then fires every conditional
+    pair (a, b) with b reaching a: the path rules out the unembeddable case,
+    so a and b are congruent, and the arc a -> b is added by ORing r[b] into
+    every row that reaches a (b reaches a, so r[b] holds r[a] and r stays
+    closed).  Firing repeats until nothing new fires.  At that fixpoint
+    mutually reachable vertices are congruent in every solution, hence an
+    NLE edge between two of them is a contradiction, and absent one, reading
+    the mutual-reachability classes as congruence classes yields a solution.
+    BSY edges are always satisfiable within whatever the LEQ arcs allow.  An
+    M81 graph has no conditional pairs, so a single closure decides it.  A
+    NONE label puts nothing into the graph; solve_m99 and solve_m81 answer
+    it before building one.  The witness is the first contradicted NLE pair,
+    in row-major order over the upper triangle; its cycle is the chord's
+    mutual-reachability class.
     """
     r = _closure(g.leq)
     while (fire := g.eqx & r.T & ~r).any():

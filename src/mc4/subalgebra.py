@@ -16,8 +16,10 @@ The module builds the five catalog subalgebras:
 
 M99 and M81 are defined by generator closure rather than transcription, and
 every relation of each is pinned to an identity over its generators (the
-identity suites below), which is exactly what licenses the gadget
-translation in mc4.solvers.
+identity suites below).  mc4.solvers derives its gadget translation from
+these definitions: LEQ, NLE and compose(LEQ, EQX), which the M99 suite
+pins to CG|CGPP|CNO, give each label's primitive constraints, and M99 and
+M81 give the labels each decider accepts.
 
 classify() places an arbitrary relation set into the cheapest decision
 procedure that covers its closure; enumerate_expressive() scans all 65,536
@@ -43,7 +45,8 @@ from .algebra import (
     format_relation,
 )
 
-# Generator relations shared with the gadget translation in mc4.solvers.
+# Generator relations; LEQ, EQX and NLE also define the gadget translation
+# in mc4.solvers.
 LEQ = Relation.CG | Relation.CGPP            # congruent or fits strictly inside
 EQX = Relation.CG | Relation.CNO             # congruent or mutually unembeddable
 NLE = Relation.CGPP | Relation.CGPPI | Relation.CNO   # anything but congruent

@@ -698,6 +698,64 @@ def test_gadget_m81_rejects_out_of_profile_labels():
         to_gadget_m81(net_of(2, [(0, 1, CGPP | CNO)]))
 
 
+# Gadget masks of a label on (0, 1) of a 2-vertex network, per code:
+# leq[0, 1], leq[1, 0], eqx[0, 1], eqx[1, 0], nle[0, 1].  None marks a
+# label the decider rejects.
+GADGET_CELLS = {
+    "m99": [
+        (0, 0, 0, 0, 0),  # NONE
+        (1, 1, 0, 0, 0),  # CG
+        (1, 0, 0, 0, 1),  # CGPP
+        (1, 0, 0, 0, 0),  # CG|CGPP
+        (0, 1, 0, 0, 1),  # CGPPi
+        (0, 1, 0, 0, 0),  # CG|CGPPi
+        None,             # CGPP|CGPPi
+        None,             # CG|CGPP|CGPPi
+        (0, 0, 1, 1, 1),  # CNO
+        (0, 0, 1, 1, 0),  # CG|CNO
+        (0, 0, 1, 0, 1),  # CGPP|CNO
+        (0, 0, 1, 0, 0),  # CG|CGPP|CNO
+        (0, 0, 0, 1, 1),  # CGPPi|CNO
+        (0, 0, 0, 1, 0),  # CG|CGPPi|CNO
+        (0, 0, 0, 0, 1),  # CGPP|CGPPi|CNO
+        (0, 0, 0, 0, 0),  # ALL
+    ],
+    "m81": [
+        (0, 0, 0, 0, 0),  # NONE
+        (1, 1, 0, 0, 0),  # CG
+        (1, 0, 0, 0, 1),  # CGPP
+        (1, 0, 0, 0, 0),  # CG|CGPP
+        (0, 1, 0, 0, 1),  # CGPPi
+        (0, 1, 0, 0, 0),  # CG|CGPPi
+        (0, 0, 0, 0, 1),  # CGPP|CGPPi
+        (0, 0, 0, 0, 0),  # CG|CGPP|CGPPi
+        None,             # CNO
+        None,             # CG|CNO
+        None,             # CGPP|CNO
+        None,             # CG|CGPP|CNO
+        None,             # CGPPi|CNO
+        None,             # CG|CGPPi|CNO
+        (0, 0, 0, 0, 1),  # CGPP|CGPPi|CNO
+        (0, 0, 0, 0, 0),  # ALL
+    ],
+}
+
+
+@pytest.mark.parametrize("code", range(16))
+def test_gadget_translation_of_every_label(code):
+    net = net_of(2, [(0, 1, Relation(code))])
+    for name, catalog, to_gadget in (("m99", M99, to_gadget_m99), ("m81", M81, to_gadget_m81)):
+        expected = GADGET_CELLS[name][code]
+        assert (expected is None) == (Relation(code) not in catalog)
+        if expected is None:
+            with pytest.raises(ProfileError):
+                to_gadget(net)
+            continue
+        g = to_gadget(net)
+        cells = (g.leq[0, 1], g.leq[1, 0], g.eqx[0, 1], g.eqx[1, 0], g.nle[0, 1])
+        assert tuple(map(int, cells)) == expected, name
+
+
 def test_gadget_profile_error_names_the_first_pair_in_row_major_order():
     # (1, 2) comes first column by column, (0, 3) comes first row by row.
     net = net_of(4, [(1, 2, CGPP | CGPPI), (0, 3, CG | CGPP | CGPPI)])
