@@ -40,6 +40,7 @@ from .network import _FORMAT, ConstraintNetwork, parse_network, random_network, 
 from .rcc5 import Rcc5, convert_scenario, envelope, format_rcc5, lift, to_rcc5
 from .solvers import (
     ProfileError,
+    Scenario,
     SolveOutcome,
     solve,
     solve_backtracking,
@@ -116,10 +117,7 @@ def _parse_palette(spec: str) -> tuple[Relation, ...]:
         return tuple(Relation(c) for c in range(1, 15))
     catalog = _CATALOGS.get(lowered)
     if catalog is not None:
-        members = tuple(r for r in catalog if r not in (EMPTY, UNIVERSAL))
-        if not members:
-            raise ValueError(f"palette {spec!r} has no usable relations")
-        return members
+        return tuple(r for r in catalog if r not in (EMPTY, UNIVERSAL))
     return tuple(parse_relation(tok) for tok in spec.split(","))
 
 
@@ -134,6 +132,16 @@ _FORCED_SOLVERS = {
     "m99": solve_m99,
     "m81": solve_m81,
 }
+
+
+def _write_pairs(
+    names: tuple[str, ...], scenario: Scenario, rhs: tuple[str, ...], indent: str
+) -> None:
+    """Write one line per scenario pair to stdout: indent, the two names,
+    then rhs[code], the right-hand side of the pair's code."""
+    sys.stdout.write(
+        "".join(f"{indent}{names[i]} {names[j]}{rhs[c]}\n" for i, j, c in scenario.pairs)
+    )
 
 
 def _verdict_json(out: SolveOutcome) -> dict:
@@ -157,9 +165,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"consistent: {'yes' if out.consistent else 'no'}")
         print(f"solver: {out.solver}")
         if out.scenario is not None:
-            names = net.names
-            pairs = out.scenario.pairs
-            sys.stdout.write("".join(f"  {names[i]} {names[j]}{_FORMAT[c]}\n" for i, j, c in pairs))
+            _write_pairs(net.names, out.scenario, _FORMAT, "  ")
         if out.witness is not None:
             print(f"witness: {json.dumps(out.witness)}")
     return 0 if out.consistent else 1
@@ -289,11 +295,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(scenario.as_json()))
     else:
-        names = net.names
-        token = [format_rcc5(Rcc5(code)) for code in range(32)]
-        sys.stdout.write(
-            "".join(f"{names[i]} {names[j]} : {token[code]}\n" for i, j, code in scenario.pairs)
-        )
+        rhs = tuple(" : " + format_rcc5(Rcc5(code)) for code in range(32))
+        _write_pairs(net.names, scenario, rhs, "")
     return 0
 
 

@@ -21,7 +21,6 @@ the other?).  The two interact in both directions:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .algebra import _RELATIONS, EMPTY, UNIVERSAL, Relation, basics
 from .solvers import Scenario
@@ -110,16 +109,8 @@ def format_rcc5(s: Rcc5) -> str:
     return "|".join(_RCC5_TOKENS[k] for k in range(5) if code >> k & 1)
 
 
-@dataclass(frozen=True)
-class Rcc5Scenario:
-    """Atomic RCC-5 assignment: one (i, j, code) triple per pair, i < j."""
-
-    pairs: tuple[tuple[int, int, int], ...]
-
-    def as_json(self) -> dict:
-        return {"pairs": list(self.pairs)}
-
-
-def convert_scenario(scenario: Scenario) -> Rcc5Scenario:
-    """RCC-5 scenario induced by an MC-4 scenario's witnessing placements."""
-    return Rcc5Scenario(tuple((i, j, _RCC5_CODE[code]) for i, j, code in scenario.pairs))
+def convert_scenario(scenario: Scenario) -> Scenario:
+    """RCC-5 scenario induced by an MC-4 scenario's witnessing placements:
+    the same pairs in the same Scenario type, each MC-4 code mapped to its
+    RCC-5 image.  is_valid_scenario checks MC-4 scenarios, not these."""
+    return Scenario(tuple((i, j, _RCC5_CODE[code]) for i, j, code in scenario.pairs))

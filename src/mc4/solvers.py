@@ -111,7 +111,11 @@ class ProfileError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full atomic assignment: one (i, j, code) triple per pair with i < j."""
+    """Full atomic assignment: one (i, j, code) triple per pair with i < j.
+
+    The codes are MC-4 base cases from the solvers, or RCC-5 ones from
+    mc4.rcc5.convert_scenario; is_valid_scenario checks MC-4 scenarios.
+    """
 
     pairs: tuple[tuple[int, int, int], ...]
 
@@ -233,6 +237,11 @@ def solve_oracle(net: ConstraintNetwork, max_vertices: int = 6) -> SolveOutcome:
     on an explicit stack, so the depth of the search is not bounded by
     Python's recursion limit; the pairs before the current index hold the
     current path's assignments.  explored counts the base cases tried.
+
+    Base case v fits (b, c) when each triangle (a, b, c), a < b, passes one
+    test: sol[a][c] in sol[a][b]∘v, the direction path consistency refines.
+    The cycle law of the base cases, r in p∘q iff p in r∘conv(q) iff q in
+    conv(p)∘r, makes the tests through the triangle's other edges agree.
     """
     n = len(net)
     if n > max_vertices:
@@ -258,20 +267,13 @@ def solve_oracle(net: ConstraintNetwork, max_vertices: int = 6) -> SolveOutcome:
         t, v = todo.pop()
         explored += 1
         b, c = pairs[t]
-        cv = conv[v]
         ok = False
         for a in range(b):
-            x = sol[a][b]
-            y = sol[a][c]
-            if not (
-                compose_t[x][v] & y
-                and compose_t[y][cv] & x
-                and compose_t[conv[x]][y] & v
-            ):
+            if not compose_t[sol[a][b]][v] & sol[a][c]:
                 break
         else:
             sol[b][c] = v
-            sol[c][b] = cv
+            sol[c][b] = conv[v]
             t += 1
             ok = True
     return SolveOutcome(
@@ -363,9 +365,8 @@ def solve_trivial_core(net: ConstraintNetwork, core: Relation) -> SolveOutcome:
     reason = f"neither is NONE nor contains {format_relation(core)}"
     _check_profile(net, net._m & int(core) != int(core), reason)
     n = len(net)
-    code = _TRIVIAL_CORES[core]
-    pairs = tuple((i, j, code) for i in range(n) for j in range(i + 1, n))
-    return SolveOutcome(True, "trivial-core", scenario=Scenario(pairs))
+    row = [_TRIVIAL_CORES[core]] * n
+    return SolveOutcome(True, "trivial-core", scenario=_scenario_of([row] * n))
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,9 @@ def test_composition_is_associative():
 
 
 def test_cycle_law_on_base_cases():
-    # whether a triangle of base cases closes is invariant under rotating it
+    # whether a triangle of base cases closes is invariant under rotating it:
+    # z in x∘y iff x in z∘conv(y) iff y in conv(x)∘z, over all 64 triples.
+    # solve_oracle relies on it to test one edge per triangle.
     for x in BASIC_RELATIONS:
         for y in BASIC_RELATIONS:
             for z in BASIC_RELATIONS:

@@ -8,8 +8,8 @@ import json
 import jsonschema
 import pytest
 
-from mc4.algebra import Relation
-from mc4.cli import main
+from mc4.algebra import EMPTY, UNIVERSAL, Relation
+from mc4.cli import _CATALOGS, _parse_palette, main
 from mc4.network import parse_network, random_network, serialize_network
 from mc4.subalgebra import Kind, classify
 
@@ -202,6 +202,12 @@ def test_classify_profile_items(capsys):
     assert out.strip() == "TRIVIAL_CORE(CG)"
 
 
+def test_classify_needs_items_or_a_file(capsys):
+    code, _, err = run(capsys, "classify")
+    assert code == 2
+    assert "classify needs profile items or --file" in err
+
+
 def test_classify_named_catalog(capsys):
     code, out, _ = run(capsys, "classify", "g81")
     assert code == 0
@@ -258,6 +264,14 @@ def test_enumerate_text_report(capsys):
     assert "residue: empty" in out
 
 
+def test_enumerate_cross_check_json(capsys):
+    code, out, _ = run(capsys, "enumerate", "--cross-check", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cross_check_agree"] is True
+    assert payload["total"] == 102
+
+
 def test_enumerate_json_counts(capsys):
     code, out, _ = run(capsys, "enumerate", "--json")
     payload = json.loads(out)
@@ -282,6 +296,13 @@ def test_convert_network_to_rcc5(capsys, net_file):
     assert out == "a b : PP\na c : PO\nb c : PO\n"
     code, out, _ = run(capsys, "convert", net_file(INCONSISTENT_TEXT))
     assert code == 1
+    text = "nodes: a b c\na b : CGPP\nb c : CG|CGPP\na c : CG|CNO\n"
+    code, out, _ = run(capsys, "convert", net_file(text), "--json")
+    assert code == 1
+    assert out == (
+        '{"consistent": false, "solver": "m99", "scenario": null, "witness": '
+        '{"type": "cycle_chord", "cycle": ["a", "b", "c"], "chord": ["a", "b"]}}\n'
+    )
 
 
 def test_convert_runs_a_search_deeper_than_the_recursion_limit(capsys, net_file):
@@ -302,6 +323,16 @@ def test_convert_single_relation(capsys):
     assert payload["image"] == "PP"
     assert payload["envelope"] == "PP|PO|DR"
     assert payload["lift_of_image"] == "CGPP"
+    code, out, _ = run(capsys, "convert", "--relation", "CGPP")
+    assert code == 0
+    assert out == "image: PP\nenvelope: PP|PO|DR\n"
+
+
+@pytest.mark.parametrize("name", sorted(_CATALOGS))
+def test_every_catalog_is_a_usable_palette(name):
+    palette = _parse_palette(name)
+    assert palette
+    assert EMPTY not in palette and UNIVERSAL not in palette
 
 
 def test_gen_writes_parseable_network(capsys, tmp_path):
