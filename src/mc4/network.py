@@ -56,6 +56,7 @@ _CONVERSE_ARR = np.array(_CONVERSE_CODE, dtype=np.uint8)
 _POPCOUNT_ARR = np.array(_POPCOUNT, dtype=np.uint8)
 # Right-hand side of a serialized constraint line, by relation code.
 _FORMAT = tuple(" : " + format_relation(r) for r in _RELATIONS)
+_FORMAT_ARR = np.array(_FORMAT, dtype=object)
 _SPELLINGS = {format_relation(r): int(r) for r in _RELATIONS}
 
 
@@ -132,10 +133,14 @@ class ConstraintNetwork:
 
     def relation_profile(self) -> RelationSet:
         """Set of labels appearing on the unordered pairs of the network."""
-        n = len(self)
-        upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-        counts = np.bincount(self._m[upper], minlength=16)
+        counts = np.bincount(self._m[_upper_triangle(len(self))], minlength=16)
         return RelationSet(sum(1 << code for code in np.flatnonzero(counts).tolist()))
+
+
+def _upper_triangle(n: int) -> np.ndarray:
+    """Boolean n-by-n mask of the pairs (i, j) with i < j."""
+    k = np.arange(n)
+    return k[:, None] < k
 
 
 def path_consistency(net: ConstraintNetwork) -> tuple[bool, ConstraintNetwork]:
@@ -273,7 +278,7 @@ def parse_network(text: str) -> ConstraintNetwork:
         lineno += len(ends)
         head = 0  # lines before head are done: those up to 'nodes:'
         if net is None:
-            for k in counts.nonzero()[0].tolist():
+            for k in map(int, np.flatnonzero(counts)):  # up to the first 'nodes:'
                 start, stop = _span(ends, k)
                 net = _parse_line(chunk[start:stop], first + k, None, spellings)
                 if net is not None:
@@ -438,11 +443,12 @@ def serialize_network(net: ConstraintNetwork) -> str:
     Pairs are emitted in declaration order of their endpoints; ALL labels
     are omitted as they say nothing.  Round-trips through parse_network.
 
-    The lines are built a row at a time: each kept pair (i, j) becomes the
-    key 16 * j + label into a table of line tails (name j and the label's
-    right-hand side), and row i is written as one string, its tails joined
-    behind the head "name_i ".  Python thus works once per row, not once
-    per pair.
+    The lines are built a row at a time.  An object array holds the 16 * n
+    line tails, name j followed by a label's right-hand side, at 16 * j +
+    label; one take gathers the tail of every kept pair (i, j) in row-major
+    order, and one tolist hands them to Python.  Row i is then written as
+    one string, its tails joined behind the head "name_i ", so Python's
+    loop runs once per row, and no Python int is made for a pair.
 
     Raises:
         ValueError: on a network with no vertices, on a contradicted
@@ -458,17 +464,17 @@ def serialize_network(net: ConstraintNetwork) -> str:
         if name.split() != [name] or ":" in name or "#" in name:
             raise ValueError(f"vertex name {name!r} cannot be serialized")
     m = net._m
-    kept = np.triu(m != 15, k=1)
+    kept = (m != 15) & _upper_triangle(len(names))
     flat = np.flatnonzero(kept)
-    keys = (flat % len(names) * 16 + m.ravel()[flat]).tolist()
+    tails = (np.array(names, dtype=object)[:, None] + _FORMAT_ARR).ravel()
+    pair_tails = tails.take(flat % len(names) * 16 + m.ravel().take(flat)).tolist()
     ends = np.cumsum(kept.sum(axis=1)).tolist()
-    tails = [name + rhs for name in names for rhs in _FORMAT]
     lines = ["nodes: " + " ".join(names)]
     start = 0
     for name, end in zip(names, ends):
         if end > start:
             head = name + " "
-            lines.append(head + ("\n" + head).join(map(tails.__getitem__, keys[start:end])))
+            lines.append(head + ("\n" + head).join(pair_tails[start:end]))
             start = end
     return "\n".join(lines) + "\n"
 
@@ -493,9 +499,11 @@ def random_network(
 
     The draws are one uniform per pair for the hit, then one palette index
     per pair, both in row-major order of the upper triangle; the labels
-    fill that triangle through a boolean mask, and their converses the
-    lower one through the same mask on the transpose.  A seed thus always
-    gives the same matrix.
+    fill that triangle through a boolean mask.  The lower triangle is still
+    ALL, so ANDing the matrix with the converses of its transpose, one
+    take, fills it with the converses of the labels and leaves the upper
+    triangle and the CG diagonal as they are (ALL and CG are their own
+    converses).  A seed thus always gives the same matrix.
     """
     if n_vertices < 1:
         raise ValueError("a network needs at least one vertex")
@@ -511,8 +519,11 @@ def random_network(
     if n_pairs:
         hit = rng.random(n_pairs) < density
         drawn = codes[rng.integers(0, codes.size, size=n_pairs)]
-        vals = np.where(hit, drawn, np.uint8(15))
-        upper = np.triu(np.ones((n_vertices, n_vertices), dtype=bool), k=1)
-        net._m[upper] = vals
-        net._m.T[upper] = _CONVERSE_ARR[vals]
+        # A pair not hit stays ALL, 15, which ORs any code to 15.  This is
+        # np.where(hit, drawn, 15) without its branch per pair, which a
+        # random hit mask mispredicts about half the time.
+        vals = drawn | np.uint8(15) * ~hit
+        m = net._m
+        m[_upper_triangle(n_vertices)] = vals
+        m &= _CONVERSE_ARR.take(m.T)
     return net

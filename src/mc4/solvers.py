@@ -72,6 +72,7 @@ from .network import (
     _POPCOUNT_ARR,
     ConstraintNetwork,
     _propagate,
+    _upper_triangle,
     path_consistency,
 )
 from .subalgebra import EQX, LEQ, M81, M99, NLE, Kind, TractabilityClass, classify
@@ -185,7 +186,7 @@ def is_valid_scenario(net: ConstraintNetwork, scenario: Scenario) -> bool:
 
 def _first_upper_pair(mask: np.ndarray) -> tuple[int, int] | None:
     """First (i, j) with i < j and mask[i, j] set, in row-major order."""
-    upper = np.triu(mask, k=1).ravel()
+    upper = (mask & _upper_triangle(len(mask))).ravel()
     if not upper.size:
         return None
     k = int(upper.argmax())

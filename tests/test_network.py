@@ -33,11 +33,16 @@ from mc4.network import (
     random_network,
     serialize_network,
 )
+from mc4.subalgebra import M99
 
 CG = Relation.CG
 CGPP = Relation.CGPP
 CGPPI = Relation.CGPPI
 CNO = Relation.CNO
+# The palette of `mc4 gen --palette m99`, and the seeds the tests draw
+# `mc4 gen 400 --palette m99 --density 0.5` networks with.
+M99_PALETTE = tuple(r for r in M99 if r not in (EMPTY, UNIVERSAL))
+GEN_WRITE_SEEDS = (0, 5, 9, 11)
 
 
 def chain_network():
@@ -768,6 +773,23 @@ def test_serialize_matches_naive_formatter(data):
     assert serialize_network(net) == naive_serialize(net)
 
 
+@pytest.mark.parametrize("seed", GEN_WRITE_SEEDS)
+def test_serialize_matches_naive_formatter_at_the_gen_write_size(seed):
+    net = random_network(400, 0.5, M99_PALETTE, rng=seed)
+    # Compared as lists of lines: a failure then names the first bad line,
+    # where a string diff of some 40 000 lines would take minutes.
+    assert serialize_network(net).split("\n") == naive_serialize(net).split("\n")
+
+
+@pytest.mark.parametrize("n", [1, 2, 400])
+def test_serialize_writes_only_the_nodes_line_for_an_all_network(n):
+    net = random_network(n, 0.0, M99_PALETTE, rng=0)
+    text = serialize_network(net)
+    assert text == "nodes: " + " ".join(f"v{k}" for k in range(n)) + "\n"
+    assert text == naive_serialize(net) == serialize_network(ConstraintNetwork(net.names))
+    assert parse_network(text).names == net.names
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_serialize_parse_round_trip_random(data):
@@ -822,6 +844,13 @@ def test_random_network_matches_the_index_scatter():
             want = reference_random_network(n, density, palette, seed)
             assert net.to_array().dtype == want.dtype
             assert np.array_equal(net.to_array(), want)
+
+
+@pytest.mark.parametrize("seed", GEN_WRITE_SEEDS)
+def test_random_network_matches_the_index_scatter_at_the_gen_write_size(seed):
+    net = random_network(400, 0.5, M99_PALETTE, rng=seed)
+    want = reference_random_network(400, 0.5, M99_PALETTE, seed)
+    assert np.array_equal(net.to_array(), want)
 
 
 def test_random_network_density_extremes():
