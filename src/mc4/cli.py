@@ -172,6 +172,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    if args.file is not None and args.items:
+        raise ValueError("classify takes profile items or --file, not both")
     if args.file is not None:
         profile = _read_network(args.file).relation_profile()
     elif args.items:
@@ -246,6 +248,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_compose(args: argparse.Namespace) -> int:
     if args.table:
+        if args.left is not None:
+            raise ValueError("compose takes two relations or --table, not both")
         basics = (Relation.CG, Relation.CGPP, Relation.CGPPI, Relation.CNO)
         width = 16
         header = " " * 8 + "".join(f"{format_relation(b):<{width}}" for b in basics)
@@ -262,6 +266,8 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     if args.relation is not None:
+        if args.file is not None:
+            raise ValueError("convert takes a network file or --relation, not both")
         r = parse_relation(args.relation)
         if args.json:
             print(

@@ -152,9 +152,8 @@ def is_valid_scenario(net: ConstraintNetwork, scenario: Scenario) -> bool:
     The pairs are scattered into an n-by-n code matrix c (converses below
     the diagonal, CG on it), so a missing or duplicated pair leaves a NONE
     behind.  An atomic network is closed exactly when its "fits inside or
-    congruent" relation L = (c in {CG, CGPP}) is a preorder, which is
-    checked with one matrix product: every two-step L path must be an
-    L arc.
+    congruent" relation L = (c in {CG, CGPP}) is a preorder.  L holds
+    every loop, so it is one exactly when _closure adds no arc to it.
     """
     n = len(net)
     if len(scenario.pairs) != n * (n - 1) // 2:
@@ -180,8 +179,8 @@ def is_valid_scenario(net: ConstraintNetwork, scenario: Scenario) -> bool:
     c[j, i] = _CONVERSE_ARR[code]
     if not c.all() or not np.array_equal(c & net._m, c):
         return False
-    leq = ((c == 1) | (c == 2)).astype(np.float32)
-    return not np.any((leq @ leq > 0) & (leq == 0))
+    leq = (c == 1) | (c == 2)
+    return np.array_equal(_closure(leq), leq)
 
 
 def _first_upper_pair(mask: np.ndarray) -> tuple[int, int] | None:

@@ -269,14 +269,20 @@ REFERENCE_BUCKET_ROWS = {
 REFERENCE_TOTAL_CLAIM = 102
 REFERENCE_TRACTABLE_CLAIM = 92
 
-_BUCKET_DESCRIPTIONS = {
-    "np-hard": "contains both CNO and {CGPP, CGPPi}",
-    "cg-core": "subset of M72",
-    "cno-core": "subset of M78, not of M72",
-    "pair-core": "subset of M31, none of the above",
-    "m81-only": "subset of M81 but not of M99, none of the above",
-    "m99-rest": "subset of M99, none of the above",
-}
+# The partition's buckets in report order: key, the class classify gives
+# the bucket's members, and description.
+_BUCKETS = (
+    ("np-hard", TractabilityClass(Kind.NP_HARD), "contains both CNO and {CGPP, CGPPi}"),
+    ("cg-core", TractabilityClass(Kind.TRIVIAL_CORE, Relation.CG), "subset of M72"),
+    ("cno-core", TractabilityClass(Kind.TRIVIAL_CORE, Relation.CNO), "subset of M78, not of M72"),
+    (
+        "pair-core",
+        TractabilityClass(Kind.TRIVIAL_CORE, Relation.CGPP | Relation.CGPPI),
+        "subset of M31, none of the above",
+    ),
+    ("m81-only", TractabilityClass(Kind.MAX_M81), "subset of M81 but not of M99, none of the above"),
+    ("m99-rest", TractabilityClass(Kind.MAX_M99), "subset of M99, none of the above"),
+)
 
 
 @dataclass(frozen=True)
@@ -309,40 +315,21 @@ class PartitionReport:
         return sum(b.count for b in self.buckets if b.key != "np-hard")
 
 
-# classify's verdict -> partition bucket; an UNCLASSIFIED set is residue.
-_BUCKET_OF_CLASS = {
-    TractabilityClass(Kind.NP_HARD): "np-hard",
-    TractabilityClass(Kind.TRIVIAL_CORE, Relation.CG): "cg-core",
-    TractabilityClass(Kind.TRIVIAL_CORE, Relation.CNO): "cno-core",
-    TractabilityClass(Kind.TRIVIAL_CORE, Relation.CGPP | Relation.CGPPI): "pair-core",
-    TractabilityClass(Kind.MAX_M81): "m81-only",
-    TractabilityClass(Kind.MAX_M99): "m99-rest",
-}
-
-
 def partition_report() -> PartitionReport:
     """Partition every expressive subalgebra into its decision bucket.
 
-    Each bucket is read from classify's verdict, so buckets are disjoint
-    and follow its precedence; the residue collects anything classify
-    leaves UNCLASSIFIED and is expected to be empty.
+    _BUCKETS is the one list of buckets.  Each subalgebra goes to the bucket
+    of classify's verdict, so buckets are disjoint and follow its
+    precedence; the residue collects anything classify leaves UNCLASSIFIED
+    and is expected to be empty.
     """
-    grouped: dict[str, list[RelationSet]] = {key: [] for key in REFERENCE_BUCKET_ROWS}
+    grouped: dict[TractabilityClass, list[RelationSet]] = {cls: [] for _, cls, _ in _BUCKETS}
     residue: list[RelationSet] = []
     for s in enumerate_expressive():
-        key = _BUCKET_OF_CLASS.get(classify(s), "residue")
-        if key == "residue":
-            residue.append(s)
-        else:
-            grouped[key].append(s)
+        grouped.get(classify(s), residue).append(s)
     buckets = tuple(
-        PartitionBucket(
-            key=key,
-            description=_BUCKET_DESCRIPTIONS[key],
-            members=tuple(members),
-            reference_count=REFERENCE_BUCKET_ROWS[key],
-        )
-        for key, members in grouped.items()
+        PartitionBucket(key, description, tuple(grouped[cls]), REFERENCE_BUCKET_ROWS[key])
+        for key, cls, description in _BUCKETS
     )
     return PartitionReport(buckets=buckets, residue=tuple(residue))
 
@@ -371,15 +358,15 @@ def render_partition_text(report: PartitionReport) -> str:
             lines.append(f"  {s!r}")
     else:
         lines.append("residue: empty")
-    rows_total = sum(REFERENCE_BUCKET_ROWS.values())
+    summary = render_partition_json(report)
     lines.append(
-        f"total: {report.total} computed; reference claim {REFERENCE_TOTAL_CLAIM}"
-        f" (delta {report.total - REFERENCE_TOTAL_CLAIM:+d});"
-        f" reference row sum {rows_total} (delta {report.total - rows_total:+d})"
+        f"total: {summary['total']} computed; reference claim {REFERENCE_TOTAL_CLAIM}"
+        f" (delta {summary['total_delta']:+d});"
+        f" reference row sum {summary['reference_row_sum']} (delta {summary['row_sum_delta']:+d})"
     )
     lines.append(
-        f"tractable: {report.tractable} computed; reference claim"
-        f" {REFERENCE_TRACTABLE_CLAIM} (delta {report.tractable - REFERENCE_TRACTABLE_CLAIM:+d})"
+        f"tractable: {summary['tractable']} computed; reference claim"
+        f" {REFERENCE_TRACTABLE_CLAIM} (delta {summary['tractable_delta']:+d})"
     )
     return "\n".join(lines)
 

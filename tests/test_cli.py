@@ -208,6 +208,13 @@ def test_classify_needs_items_or_a_file(capsys):
     assert "classify needs profile items or --file" in err
 
 
+def test_classify_rejects_items_with_a_file(capsys, net_file):
+    code, out, err = run(capsys, "classify", "CG|CNO", "--file", net_file(CONSISTENT_TEXT))
+    assert code == 2
+    assert out == ""
+    assert err == "error: classify takes profile items or --file, not both\n"
+
+
 def test_classify_named_catalog(capsys):
     code, out, _ = run(capsys, "classify", "g81")
     assert code == 0
@@ -249,6 +256,13 @@ def test_compose_pair_and_table(capsys):
 def test_compose_needs_arguments(capsys):
     code, _, err = run(capsys, "compose")
     assert code == 2
+
+
+def test_compose_rejects_relations_with_the_table(capsys):
+    code, out, err = run(capsys, "compose", "CGPP", "CNO", "--table")
+    assert code == 2
+    assert out == ""
+    assert err == "error: compose takes two relations or --table, not both\n"
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +340,13 @@ def test_convert_single_relation(capsys):
     code, out, _ = run(capsys, "convert", "--relation", "CGPP")
     assert code == 0
     assert out == "image: PP\nenvelope: PP|PO|DR\n"
+
+
+def test_convert_rejects_a_file_with_a_relation(capsys, net_file):
+    code, out, err = run(capsys, "convert", net_file(CONSISTENT_TEXT), "--relation", "CGPP")
+    assert code == 2
+    assert out == ""
+    assert err == "error: convert takes a network file or --relation, not both\n"
 
 
 @pytest.mark.parametrize("name", sorted(_CATALOGS))

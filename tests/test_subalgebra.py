@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mc4 import subalgebra
 from mc4.algebra import EMPTY, UNIVERSAL, Relation, RelationSet
 from mc4.subalgebra import (
     BSY,
@@ -21,6 +22,7 @@ from mc4.subalgebra import (
     M81_GENERATOR_IDENTITIES,
     M99_GENERATOR_IDENTITIES,
     Kind,
+    TractabilityClass,
     classify,
     closure,
     enumerate_expressive,
@@ -30,6 +32,8 @@ from mc4.subalgebra import (
     is_closed,
     maximality_check,
     partition_report,
+    render_partition_json,
+    render_partition_text,
 )
 
 CG = Relation.CG
@@ -248,6 +252,28 @@ def test_partition_buckets_are_disjoint_and_cover():
             seen.add(s.mask)
     assert len(seen) == 102
     assert seen == {s.mask for s in enumerate_expressive()}
+
+
+def test_partition_puts_an_unclassified_subalgebra_in_the_residue(monkeypatch):
+    # classify leaves no subalgebra UNCLASSIFIED, so one is made to fall
+    # through: M99 leaves its bucket for the residue and every report says so.
+    real_classify = subalgebra.classify
+    monkeypatch.setattr(
+        subalgebra,
+        "classify",
+        lambda s: TractabilityClass(Kind.UNCLASSIFIED) if s == M99 else real_classify(s),
+    )
+    report = partition_report()
+    assert report.residue == (M99,)
+    assert {b.key: b.count for b in report.buckets}["m99-rest"] == 33
+    assert report.total == 102
+    text = render_partition_text(report).splitlines()
+    at = text.index("residue: 1 UNMATCHED subalgebras")
+    assert text[at + 1] == (
+        "  RelationSet({NONE, CG, CGPP, CG|CGPP, CGPPi, CG|CGPPi, CNO, CG|CNO, CGPP|CNO,"
+        " CG|CGPP|CNO, CGPPi|CNO, CG|CGPPi|CNO, CGPP|CGPPi|CNO, ALL})"
+    )
+    assert render_partition_json(report)["residue"] == [[int(r) for r in M99]]
 
 
 def test_m81_only_bucket_really_avoids_m99():
