@@ -422,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="network file, or - for stdin")
     p.add_argument(
         "--solver",
-        choices=("auto", "oracle", "backtrack", "m72", "m99", "m81"),
+        choices=("auto", *_FORCED_SOLVERS),
         default="auto",
         help="force a solver instead of dispatching on the label profile",
     )

@@ -21,10 +21,12 @@ nothing); the parser rejects self-loops without CG, while the programmatic
 ``add_constraint`` intersects the diagonal cell like any other, leaving
 NONE there.  Every contradiction is thus a NONE label in the matrix.
 
-``parse_network`` takes plain lines, four tokens ``NAME NAME : RELATION``
-with no comment, in bulk, a chunk of lines at a time; every other line goes
-through the grammar one line at a time.  Its errors, their messages, tokens
-and line numbers are those of a line-by-line reading of the same text.
+``parse_network`` reads the text a chunk of lines at a time, in bulk when
+every line of the chunk is blank or plain (four tokens ``NAME NAME :
+RELATION``, two distinct declared vertices, a known spelling, no comment)
+and otherwise by the grammar, one line at a time.  Its errors, their
+messages, tokens and line numbers are those of a line-by-line reading of
+the same text.
 
 ``path_consistency`` is the workhorse approximation: it refines every label
 against all two-step paths until a fixpoint, detecting many inconsistencies
@@ -34,7 +36,7 @@ mc4.solvers.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -240,21 +242,21 @@ def parse_network(text: str) -> ConstraintNetwork:
     scan of a chunk's code units (_scan_lines) splits it into lines as
     str.splitlines does and counts each line's tokens as str.split does.
 
-    Lines of four tokens are taken in bulk: one str.split of their text
-    gives the tokens, four a line, and one map over the vertex index and
-    one over the file's relation spellings resolve them.  Array operations
-    then check them and intersect them into the label matrix, in either
-    orientation.  The bulk step flags a line whose third token is not ':'
-    (such as 'a b:CG | CNO'), or that names an undeclared vertex, spells an
-    unknown relation or loops without CG.  A line that holds '#' is always
-    flagged, as no vertex name or relation spelling holds one, so every
-    line the bulk step keeps is plain: four tokens, the third ':', no '#'.
+    A chunk is read in bulk when it is plain: after the 'nodes:' line,
+    every line is blank or holds four tokens, the third ':', two distinct
+    declared vertices and a relation spelling met before.  No vertex name
+    or spelling holds '#', so a plain chunk holds no comment.  One
+    str.split of its text gives the tokens, four a line, one map over the
+    vertex index and one over the file's relation spellings resolve them,
+    and array operations intersect them into the label matrix, in either
+    orientation.
 
-    Every other non-blank line, the 'nodes:' line, comments, 'a b:CG' and
-    'CG | CGPP' among them, and every flagged line goes through
-    _parse_line, the grammar one line at a time, in line order.  So the
-    first bad line raises, and the ParseError, its message, token and line
-    number, is the one a loop over text.splitlines() would raise.
+    Any other chunk, from the line after 'nodes:' on, goes through
+    _parse_line, the grammar one line at a time, in line order; so do the
+    lines up to 'nodes:'.  So the first bad line raises, and the
+    ParseError, its message, token and line number, is the one a loop over
+    text.splitlines() would raise.  A chunk read this way is 2-3x slower
+    than in bulk; only the chunk that holds an irregular line pays.
 
     Raises:
         ParseError: with a 1-based line number, on any malformed line,
@@ -286,48 +288,27 @@ def parse_network(text: str) -> ConstraintNetwork:
                     break
             else:
                 continue
-        bulk = counts == 4
-        bulk[:head] = False
-        other = ((counts > 0) ^ bulk).nonzero()[0].tolist()
-        # Cut out the other lines with tokens, and the text of the bulk is
-        # left, four tokens a line.
-        cuts = [0]
-        for k in other:
-            cuts += _span(ends, k)
-        cuts.append(len(chunk))
-        tokens = "".join([chunk[a:b] for a, b in zip(cuts[::2], cuts[1::2])]).split()
-        n = len(tokens) // 4
-        us, vs, colons, rels = tokens[0::4], tokens[1::4], tokens[2::4], tokens[3::4]
-        # The maps without a default are the faster; after a miss, the maps
-        # with one mark the lines to flag.
-        try:
-            ij = np.fromiter(map(net._index.__getitem__, chain(us, vs)), np.intp, 2 * n)
-            codes = np.fromiter(map(spellings.__getitem__, rels), np.uint8, n)
-            unknown = False
-        except KeyError:  # a spelling not met before, or an undeclared name
-            for spelling in set(rels).difference(spellings):
-                try:
-                    spellings[spelling] = int(parse_relation(spelling))
-                except ParseError:
-                    pass  # its lines are flagged, and _parse_line reports the first
-            ij = np.fromiter(map(net._index.get, chain(us, vs), repeat(-1)), np.intp, 2 * n)
-            codes = np.fromiter(map(spellings.get, rels, repeat(16)), np.uint8, n)
-            unknown = True
-        i, j = ij[:n], ij[n:]
-        slow = [k for k in other if k >= head]
-        if unknown or np.count_nonzero(i == j) or colons.count(":") < n:
-            # Flag undeclared names, unknown relations, self-loops without
-            # CG, and lines whose third token is not ':' ('a b:CG | CNO').
-            flagged = (np.minimum(i, j) < 0) | (codes > 15) | ((i == j) & ((codes & 1) == 0))
-            flagged |= [c != ":" for c in colons]
-            slow = sorted(slow + bulk.nonzero()[0][flagged].tolist())
-            i, j, codes = i[~flagged], j[~flagged], codes[~flagged]
-        for k in slow:
-            start, stop = _span(ends, k)
-            _parse_line(chunk[start:stop], first + k, net, spellings)
+        rest = counts[head:]
+        plain = bool(((rest == 0) | (rest == 4)).all())
+        if plain:
+            tokens = chunk[(int(ends[head - 1]) + 1 if head else 0) :].split()
+            n = len(tokens) // 4
+            us, vs, colons, rels = tokens[0::4], tokens[1::4], tokens[2::4], tokens[3::4]
+            try:
+                ij = np.fromiter(map(net._index.__getitem__, chain(us, vs)), np.intp, 2 * n)
+                codes = np.fromiter(map(spellings.__getitem__, rels), np.uint8, n)
+            except KeyError:  # an undeclared name, or a spelling not met before
+                plain = False
+            else:
+                i, j = ij[:n], ij[n:]
+                plain = colons.count(":") == n and not np.count_nonzero(i == j)
+        if not plain:
+            for k, line in enumerate(chunk.splitlines()[head:], first + head):
+                _parse_line(line, k, net, spellings)
+            continue
         # Declarations in either orientation meet: the label at (i, j) is
         # intersected with the converse of the one at (j, i), and the pair's
-        # two cells are set together.  A CG self-loop leaves its cell CG.
+        # two cells are set together.
         flat, flip = i * len(net) + j, j * len(net) + i
         m = net._m.reshape(-1)
         np.bitwise_and.at(m, flat, codes)

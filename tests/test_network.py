@@ -677,6 +677,38 @@ def corpus_text(seed):
     return join(lines), join(faulty)
 
 
+def _is_plain(line, names):
+    """True iff parse_network could take line in bulk."""
+    tokens = line.split()
+    return (
+        len(tokens) == 4
+        and tokens[0] in names
+        and tokens[1] in names
+        and tokens[0] != tokens[1]
+        and tokens[2] == ":"
+        and tokens[3] in network._SPELLINGS
+    )
+
+
+def large_corpus_text(seed):
+    """A seeded canonical text of at least 2000 lines with one line put in
+    at a seeded place after 'nodes:': a corpus fault for an even seed, an
+    irregular valid line for an odd one."""
+    rng = random.Random(seed)
+    net = random_network(80, 0.7, tuple(Relation(c) for c in range(1, 15)), rng=seed)
+    lines = serialize_network(net).splitlines()
+    names = list(net.names)
+    if seed % 2:
+        line = _corpus_line(rng, names)
+        while _is_plain(line, names):
+            line = _corpus_line(rng, names)
+    else:
+        line = _fault(rng, names, _NAME_FAULTS | _STRUCTURAL_FAULTS, 0)
+    lines.insert(rng.randrange(1, len(lines) + 1), line)
+    assert len(lines) > 2000
+    return "\n".join(lines) + "\n"
+
+
 def _outcome(parse, text):
     try:
         net = parse(text)
@@ -704,6 +736,49 @@ def test_parse_matches_the_line_loop_on_a_seeded_corpus(monkeypatch, chunk):
             if len(want) == 3:
                 met.update(f for f in fragments if f in want[0])
     assert met == set(fragments)
+    for seed in range(24):
+        text = large_corpus_text(seed)
+        want = _outcome(reference_parse_network, text)
+        assert len(want) == (2 if seed % 2 else 3), seed  # valid, or the fault's error
+        assert _outcome(parse_network, text) == want, seed
+
+
+def _chunk_first_lines(text):
+    """Number of the first line of each chunk parse_network reads text in."""
+    firsts, pos, lineno = [], 0, 1
+    while pos < len(text):
+        end = pos + network._CHUNK
+        if end < len(text):
+            end = (text.rfind("\n", pos, end) + 1) or (text.find("\n", end) + 1) or len(text)
+        firsts.append(lineno)
+        lineno += len(text[pos:end].splitlines())
+        pos = end
+    return firsts
+
+
+@pytest.mark.parametrize(
+    "chunk, tail",
+    [(network._CHUNK, ""), (1 << 16, ""), (1 << 16, "# end\n")],
+    ids=["plain-chunk-default", "plain-chunk-64k", "comment-chunk-64k"],
+)
+def test_only_a_chunk_with_an_irregular_line_goes_through_the_grammar(monkeypatch, chunk, tail):
+    calls = []  # the line numbers handed to _parse_line, in call order
+    parse_line = network._parse_line
+
+    def counted(raw, lineno, net, spellings):
+        calls.append(lineno)
+        return parse_line(raw, lineno, net, spellings)
+
+    monkeypatch.setattr(network, "_parse_line", counted)
+    monkeypatch.setattr(network, "_CHUNK", chunk)
+    net = random_network(400, 0.5, M99_PALETTE, rng=11)
+    text = serialize_network(net) + tail
+    firsts = _chunk_first_lines(text)
+    assert len(firsts) == (13 if chunk == 1 << 16 else 1)
+    assert np.array_equal(parse_network(text).to_array(), net.to_array())
+    # The 'nodes:' line, then every line of the last chunk if it is irregular.
+    grammar = range(firsts[-1], text.count("\n") + 1) if tail else ()
+    assert calls == [1, *grammar]
 
 
 def test_serialize_omits_all_and_round_trips():
