@@ -444,20 +444,39 @@ def to_gadget_m81(net: ConstraintNetwork) -> GadgetGraph:
 
 
 def _closure(leq: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure of the LEQ arcs (Warshall, 1962).
+    """Reflexive-transitive closure of the LEQ arcs.
 
-    Returns r, r[u, v] when u reaches v.  The rows are packed bitsets
-    only in here: pivoting on k ORs row k into every row that reaches k,
-    and once every vertex reaches k and k reaches every vertex, the rest
-    can change nothing.  leq must hold every loop.
+    Returns r, r[u, v] when u reaches v.  leq must hold every loop.  This
+    is Warshall's algorithm (1962) taken eight pivots at a time, after
+    Arlazarov, Dinic, Kronrod and Faradzev (1970).  The rows are packed
+    bitsets only in here, so byte column c of a row is the set of pivots
+    8c..8c+7 that row reaches.  Once the pivots below 8c are done, a row
+    reaches v through intermediates below 8c + 8 exactly when it reaches
+    some block pivot p through intermediates below 8c, p reaches some block
+    pivot q within the block, and row q reaches v: split the path at its
+    first and last block vertex.  So each block
+    1. tabulates lut[x], the OR of the block rows in x, for every byte x;
+    2. closes the block within itself: f[x], byte c of lut[x], is x (every
+       vertex has its loop) with the block pivots x reaches in one step,
+       and squaring f three times lets it take up to eight steps;
+    3. ORs lut[f[byte c of u]] into every row u.
+    An all-ones matrix can gain nothing, so the loop stops there; row 0 is
+    tested first, being cheaper than the whole matrix.
     """
     n = len(leq)
     reach = np.packbits(leq, axis=1, bitorder="little")
     full = np.packbits(np.ones(n, dtype=bool), bitorder="little")
-    for k in range(n):
-        above = (reach[:, k >> 3] & (1 << (k & 7))) != 0
-        reach[above] |= reach[k]
-        if above.all() and np.array_equal(reach[k], full):
+    lut = np.zeros((256, reach.shape[1]), dtype=np.uint8)
+    for c in range(reach.shape[1]):
+        rows = reach[8 * c : 8 * c + 8]
+        for a, row in enumerate(rows):
+            np.bitwise_or(lut[: 1 << a], row, out=lut[1 << a : 2 << a])
+        f = lut[: 1 << len(rows), c]
+        f = f[f]
+        f = f[f]
+        f = f[f]
+        reach |= lut.take(f.take(reach[:, c]), axis=0)
+        if np.array_equal(reach[0], full) and (reach == full).all():
             break
     return np.unpackbits(reach, axis=1, count=n, bitorder="little").view(bool)
 

@@ -76,6 +76,7 @@ def _one_step(mask: int) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
 def _closure_mask(mask: int) -> int:
     cur = mask
     while True:

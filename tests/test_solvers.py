@@ -25,6 +25,7 @@ from mc4.solvers import (
     GadgetGraph,
     ProfileError,
     Scenario,
+    _closure,
     detect_m81,
     detect_m99,
     is_valid_scenario,
@@ -952,6 +953,61 @@ def reference_reach(arcs, n):
                     stack.append(x)
         out.append(seen)
     return out
+
+
+def closure_of(n, arcs):
+    leq = np.eye(n, dtype=bool)
+    for u, v in arcs:
+        leq[u, v] = True
+    return _closure(leq)
+
+
+def chain_reach(order):
+    """Reach matrix of the path order[0] -> order[1] -> ...: each vertex
+    reaches itself and every later one."""
+    n = len(order)
+    r = np.zeros((n, n), dtype=bool)
+    for k, u in enumerate(order):
+        r[u, order[k:]] = True
+    return r
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 130])
+def test_closure_matches_the_set_reference(n):
+    # About 1.5 arcs per vertex, then nearly a third of all pairs; sizes
+    # fall on, just below and just above multiples of the 8-pivot block.
+    rng = np.random.default_rng(n)
+    for p in (min(1.0, 1.5 / n), 0.3):
+        leq = rng.random((n, n)) < p
+        np.fill_diagonal(leq, True)
+        reach = reference_reach(set(map(tuple, np.argwhere(leq).tolist())), n)
+        expected = np.zeros((n, n), dtype=bool)
+        for u, seen in enumerate(reach):
+            expected[u, list(seen)] = True
+        assert np.array_equal(_closure(leq), expected)
+
+
+def test_closure_follows_chains_within_and_across_blocks():
+    # v7 -> v6 -> ... -> v0 takes seven steps inside one block.
+    order = list(range(7, -1, -1))
+    assert np.array_equal(closure_of(8, zip(order, order[1:])), chain_reach(order))
+    # 7 -> 16 -> 6 -> 15 -> ... -> 0 -> 9 -> 8 alternates between the first
+    # block and the vertices above it, v16 alone in the last, partial block.
+    order = [v for pair in zip(range(7, -1, -1), range(16, 8, -1)) for v in pair] + [8]
+    assert np.array_equal(closure_of(17, zip(order, order[1:])), chain_reach(order))
+
+
+def test_closure_stops_only_on_an_all_ones_matrix():
+    # A vertex joined both ways to every other one fills the matrix at its
+    # own block: the first for hub 3, the third for hub 20.
+    for hub in (3, 20):
+        arcs = [(hub, v) for v in range(30)] + [(v, hub) for v in range(30)]
+        assert closure_of(30, arcs).all()
+    # Row 0 is full from the start, while v29 -> v28 -> ... -> v1 needs
+    # every block.
+    order = list(range(29, 0, -1))
+    arcs = [(0, v) for v in range(30)] + list(zip(order, order[1:]))
+    assert np.array_equal(closure_of(30, arcs), chain_reach([0] + order))
 
 
 def reference_detect(g, names):
