@@ -22,11 +22,11 @@ nothing); the parser rejects self-loops without CG, while the programmatic
 NONE there.  Every contradiction is thus a NONE label in the matrix.
 
 ``parse_network`` reads the text a chunk of lines at a time, in bulk when
-every line of the chunk is blank or plain (four tokens ``NAME NAME :
-RELATION``, two distinct declared vertices, a known spelling, no comment)
-and otherwise by the grammar, one line at a time.  Its errors, their
-messages, tokens and line numbers are those of a line-by-line reading of
-the same text.
+the chunk is ASCII and every line of it is blank or plain (four tokens
+``NAME NAME : RELATION``, two distinct declared vertices, a known
+spelling, no comment) and otherwise by the grammar, one line at a time.
+Its errors, their messages, tokens and line numbers are those of a
+line-by-line reading of the same text.
 
 ``path_consistency`` is the workhorse approximation: it refines every label
 against all two-step paths until a fixpoint, detecting many inconsistencies
@@ -221,15 +221,15 @@ def is_algebraically_closed(net: ConstraintNetwork) -> bool:
 # ---------------------------------------------------------------------------
 
 
-# Classes of the code units parse_network scans: whitespace as str.split
-# sees it, and line breaks as str.splitlines sees them, each of which is
-# whitespace too.  No whitespace lies above U+3000, so wider code units are
-# clipped to the table's last entry, which is neither.
+# Classes of the bytes parse_network scans: whitespace as str.split sees
+# it, and line breaks as str.splitlines sees them, each of which is
+# whitespace too.  bytes.translate wants 256 entries; an ASCII chunk uses
+# the first 128.
 _SPACE, _BREAK = 1, 3
-_UNIT_CLASS = np.zeros(0x3002, dtype=np.uint8)
-_UNIT_CLASS[[9, 0x1F, 0x20, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000]] = _SPACE
-_UNIT_CLASS[[*range(10, 14), 0x1C, 0x1D, 0x1E, 0x85, 0x2028, 0x2029]] = _BREAK
-_ASCII_CLASS = _UNIT_CLASS[:256].tobytes()  # the same table for bytes.translate
+_ASCII_CLASS = bytes(
+    _BREAK if len(f"a{chr(c)}b".splitlines()) == 2 else _SPACE if chr(c).isspace() else 0
+    for c in range(128)
+).ljust(256, b"\0")
 # Characters tokenised at once, which bounds the tokens a large file holds.
 _CHUNK = 1 << 20
 
@@ -238,25 +238,28 @@ def parse_network(text: str) -> ConstraintNetwork:
     """Parse the text format documented in the module docstring.
 
     The text is read in chunks of whole lines, each ending after the last
-    '\\n' within _CHUNK characters (or the first after them).  One numpy
-    scan of a chunk's code units (_scan_lines) splits it into lines as
-    str.splitlines does and counts each line's tokens as str.split does.
+    '\\n' within _CHUNK characters (or the first after them).  An ASCII
+    chunk is scanned once as bytes (_scan_lines), which splits it into
+    lines as str.splitlines does and counts each line's tokens as
+    str.split does; until the 'nodes:' line is found, the lines that hold
+    a token go through _parse_line one at a time.
 
-    A chunk is read in bulk when it is plain: after the 'nodes:' line,
-    every line is blank or holds four tokens, the third ':', two distinct
-    declared vertices and a relation spelling met before.  No vertex name
-    or spelling holds '#', so a plain chunk holds no comment.  One
-    str.split of its text gives the tokens, four a line, one map over the
-    vertex index and one over the file's relation spellings resolve them,
-    and array operations intersect them into the label matrix, in either
-    orientation.
+    An ASCII chunk is read in bulk when it is plain: after the 'nodes:'
+    line, every line is blank or holds four tokens, the third ':', two
+    distinct declared vertices and a relation spelling met before.  No
+    vertex name or spelling holds '#', so a plain chunk holds no comment.
+    One str.split of its text gives the tokens, four a line, one map over
+    the vertex index and one over the file's relation spellings resolve
+    them, and array operations intersect them into the label matrix, in
+    either orientation.
 
-    Any other chunk, from the line after 'nodes:' on, goes through
-    _parse_line, the grammar one line at a time, in line order; so do the
-    lines up to 'nodes:'.  So the first bad line raises, and the
-    ParseError, its message, token and line number, is the one a loop over
-    text.splitlines() would raise.  A chunk read this way is 2-3x slower
-    than in bulk; only the chunk that holds an irregular line pays.
+    Any other chunk (one with a non-ASCII character, an irregular line
+    after 'nodes:', or no 'nodes:' line yet) goes through _parse_line, the
+    grammar one line at a time, from its first line on and with the
+    network as it stood before the chunk.  So the first bad line raises,
+    and the ParseError, its message, token and line number, is the one a
+    loop over text.splitlines() would raise.  A chunk read this way is 2-3x
+    slower than in bulk; only the chunk that needs it pays.
 
     Raises:
         ParseError: with a 1-based line number, on any malformed line,
@@ -275,21 +278,21 @@ def parse_network(text: str) -> ConstraintNetwork:
             end = (text.rfind("\n", pos, end) + 1) or (text.find("\n", end) + 1) or len(text)
         chunk = text[pos:end]
         pos = end
-        ends, counts = _scan_lines(chunk)
-        first = lineno
-        lineno += len(ends)
-        head = 0  # lines before head are done: those up to 'nodes:'
-        if net is None:
-            for k in map(int, np.flatnonzero(counts)):  # up to the first 'nodes:'
-                start, stop = _span(ends, k)
-                net = _parse_line(chunk[start:stop], first + k, None, spellings)
-                if net is not None:
-                    head = k + 1
-                    break
-            else:
-                continue
-        rest = counts[head:]
-        plain = bool(((rest == 0) | (rest == 4)).all())
+        first, before = lineno, net
+        plain = chunk.isascii()
+        if plain:
+            ends, counts = _scan_lines(chunk)
+            lineno += len(ends)
+            head = 0  # lines before head are done: those up to 'nodes:'
+            if net is None:
+                for k in map(int, np.flatnonzero(counts)):  # up to the first 'nodes:'
+                    line = chunk[(int(ends[k - 1]) + 1 if k else 0) : int(ends[k])]
+                    net = _parse_line(line, first + k, None, spellings)
+                    if net is not None:
+                        head = k + 1
+                        break
+            rest = counts[head:]
+            plain = net is not None and bool(((rest == 0) | (rest == 4)).all())
         if plain:
             tokens = chunk[(int(ends[head - 1]) + 1 if head else 0) :].split()
             n = len(tokens) // 4
@@ -303,8 +306,11 @@ def parse_network(text: str) -> ConstraintNetwork:
                 i, j = ij[:n], ij[n:]
                 plain = colons.count(":") == n and not np.count_nonzero(i == j)
         if not plain:
-            for k, line in enumerate(chunk.splitlines()[head:], first + head):
-                _parse_line(line, k, net, spellings)
+            lines = chunk.splitlines()
+            lineno = first + len(lines)
+            net = before
+            for k, line in enumerate(lines, first):
+                net = _parse_line(line, k, net, spellings)
             continue
         # Declarations in either orientation meet: the label at (i, j) is
         # intersected with the converse of the one at (j, i), and the pair's
@@ -321,21 +327,17 @@ def parse_network(text: str) -> ConstraintNetwork:
 
 
 def _scan_lines(chunk: str) -> tuple[np.ndarray, np.ndarray]:
-    """The lines of chunk, split as by str.splitlines, in two arrays.
+    """The lines of an ASCII chunk, split as by str.splitlines, in two arrays.
 
     For each line: where it ends (the offset of its line break, or the
     length of chunk), and how many tokens str.split finds in it.  The '\\r'
     of a CRLF ends its line as whitespace.
     """
-    # The code units of " " + chunk, so that a token begins at offset k of
-    # chunk wherever unit k is whitespace and unit k + 1 is not.
-    if chunk.isascii():
-        raw = b" " + chunk.encode("ascii")
-        units = np.frombuffer(raw, dtype=np.uint8)
-        kind = np.frombuffer(raw.translate(_ASCII_CLASS), dtype=np.uint8)
-    else:
-        units = np.frombuffer((" " + chunk).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        kind = _UNIT_CLASS[np.minimum(units, len(_UNIT_CLASS) - 1)]
+    # The bytes of " " + chunk, so that a token begins at offset k of chunk
+    # wherever byte k is whitespace and byte k + 1 is not.
+    raw = b" " + chunk.encode("ascii")
+    units = np.frombuffer(raw, dtype=np.uint8)
+    kind = np.frombuffer(raw.translate(_ASCII_CLASS), dtype=np.uint8)
     space = kind != 0
     starts = (space[:-1] > space[1:]).nonzero()[0]
     units = units[1:]
@@ -350,11 +352,6 @@ def _scan_lines(chunk: str) -> tuple[np.ndarray, np.ndarray]:
     counts = totals.copy()
     counts[1:] -= totals[:-1]
     return ends, counts
-
-
-def _span(ends: np.ndarray, k: int) -> tuple[int, int]:
-    """Offsets of the start and the end of line k, as _scan_lines split it."""
-    return (int(ends[k - 1]) + 1 if k else 0), int(ends[k])
 
 
 def _parse_line(

@@ -23,9 +23,9 @@ from mc4.algebra import (
 )
 from mc4 import network
 from mc4.network import (
+    _ASCII_CLASS,
     _BREAK,
     _CONVERSE_ARR,
-    _UNIT_CLASS,
     ConstraintNetwork,
     is_algebraically_closed,
     parse_network,
@@ -478,11 +478,11 @@ def test_parse_matches_one_add_constraint_per_declaration(data):
 
 
 def test_scan_tables_match_str_split_and_splitlines():
-    spaces = {c for c in range(0x110000) if chr(c).isspace()}
-    breaks = {c for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2}
-    assert max(spaces) < len(_UNIT_CLASS) - 1
-    assert set(np.flatnonzero(_UNIT_CLASS).tolist()) == spaces
-    assert set(np.flatnonzero(_UNIT_CLASS == _BREAK).tolist()) == breaks
+    spaces = {c for c in range(128) if chr(c).isspace()}
+    breaks = {c for c in range(128) if len(f"a{chr(c)}b".splitlines()) == 2}
+    table = np.frombuffer(_ASCII_CLASS, dtype=np.uint8)[:128]
+    assert set(np.flatnonzero(table).tolist()) == spaces
+    assert set(np.flatnonzero(table == _BREAK).tolist()) == breaks
 
 
 _PARSE_ERRORS = [
@@ -756,12 +756,30 @@ def _chunk_first_lines(text):
     return firsts
 
 
+# A comment preamble longer than one 64 KiB chunk.
+_PREAMBLE = "# preamble\n" * 8000
+
+
 @pytest.mark.parametrize(
-    "chunk, tail",
-    [(network._CHUNK, ""), (1 << 16, ""), (1 << 16, "# end\n")],
-    ids=["plain-chunk-default", "plain-chunk-64k", "comment-chunk-64k"],
+    "chunk, head, tail, n_chunks",
+    [
+        (network._CHUNK, "", "", 1),
+        (1 << 16, "", "", 13),
+        (1 << 16, "", "# end\n", 13),
+        (1 << 16, "", "# r\u00e9gion\n", 13),
+        (1 << 16, _PREAMBLE, "", 14),
+    ],
+    ids=[
+        "plain-chunk-default",
+        "plain-chunk-64k",
+        "comment-chunk-64k",
+        "non-ascii-chunk-64k",
+        "preamble-chunk-64k",
+    ],
 )
-def test_only_a_chunk_with_an_irregular_line_goes_through_the_grammar(monkeypatch, chunk, tail):
+def test_only_a_chunk_with_an_irregular_line_goes_through_the_grammar(
+    monkeypatch, chunk, head, tail, n_chunks
+):
     calls = []  # the line numbers handed to _parse_line, in call order
     parse_line = network._parse_line
 
@@ -772,13 +790,21 @@ def test_only_a_chunk_with_an_irregular_line_goes_through_the_grammar(monkeypatc
     monkeypatch.setattr(network, "_parse_line", counted)
     monkeypatch.setattr(network, "_CHUNK", chunk)
     net = random_network(400, 0.5, M99_PALETTE, rng=11)
-    text = serialize_network(net) + tail
+    text = head + serialize_network(net) + tail
     firsts = _chunk_first_lines(text)
-    assert len(firsts) == (13 if chunk == 1 << 16 else 1)
-    assert np.array_equal(parse_network(text).to_array(), net.to_array())
-    # The 'nodes:' line, then every line of the last chunk if it is irregular.
+    assert len(firsts) == n_chunks
+    got = parse_network(text)
+    assert np.array_equal(got.to_array(), net.to_array())
+    want = reference_parse_network(text)
+    assert got.names == want.names and np.array_equal(got.to_array(), want.to_array())
+    # Each chunk before the one holding 'nodes:' twice, by the header search
+    # and then by the grammar; then the lines up to 'nodes:'; then every
+    # line of the last chunk if it is irregular.
+    nodes = head.count("\n") + 1
+    before = [f for f in firsts if f <= nodes]
+    preamble = [k for a, b in zip(before, before[1:]) for k in [*range(a, b)] * 2]
     grammar = range(firsts[-1], text.count("\n") + 1) if tail else ()
-    assert calls == [1, *grammar]
+    assert calls == [*preamble, *range(before[-1], nodes + 1), *grammar]
 
 
 def test_serialize_omits_all_and_round_trips():
