@@ -75,19 +75,20 @@ BASIC_COMPOSITION: dict[tuple[Relation, Relation], Relation] = {
 
 
 def _build_compose_table() -> tuple[tuple[int, ...], ...]:
-    table = []
-    for r in range(16):
-        row = []
-        for s in range(16):
-            acc = 0
-            for a in BASIC_RELATIONS:
-                if r & a:
-                    for b in BASIC_RELATIONS:
-                        if s & b:
-                            acc |= int(BASIC_COMPOSITION[(a, b)])
-            row.append(acc)
-        table.append(tuple(row))
-    return tuple(table)
+    """Composition of every pair of codes, on ints, not on Relation members.
+
+    a = r & -r and b = s & -s are the lowest base cases of r and s; since
+    composition distributes over union, r∘s = (r-a)∘s | a∘(s-b) | a∘b, and
+    both smaller compositions are in the table by the time (r, s) is.
+    """
+    basic = {(int(a), int(b)): int(c) for (a, b), c in BASIC_COMPOSITION.items()}
+    table = [[0] * 16 for _ in range(16)]
+    for r in range(1, 16):
+        a = r & -r
+        for s in range(1, 16):
+            b = s & -s
+            table[r][s] = table[r ^ a][s] | table[a][s ^ b] | basic[a, b]
+    return tuple(map(tuple, table))
 
 
 _COMPOSE_CODE: tuple[tuple[int, ...], ...] = _build_compose_table()

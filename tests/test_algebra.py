@@ -3,12 +3,14 @@
 import pytest
 
 from mc4.algebra import (
+    BASIC_COMPOSITION,
     BASIC_RELATIONS,
     EMPTY,
     UNIVERSAL,
     ParseError,
     Relation,
     RelationSet,
+    _COMPOSE_CODE,
     basics,
     cardinality,
     compose,
@@ -53,6 +55,25 @@ def test_base_composition_table():
     }
     for (r, s), want in expected.items():
         assert compose(r, s) == want
+
+
+def test_compose_table_equals_its_enum_derivation():
+    # The table as Relation members compose it: every base case of r with
+    # every base case of s, joined by enum '|'.
+    want = []
+    for r in range(16):
+        row = []
+        for s in range(16):
+            acc = 0
+            for a in BASIC_RELATIONS:
+                if r & a:
+                    for b in BASIC_RELATIONS:
+                        if s & b:
+                            acc |= int(BASIC_COMPOSITION[(a, b)])
+            row.append(acc)
+        want.append(tuple(row))
+    assert _COMPOSE_CODE == tuple(want)
+    assert all(type(c) is int for row in _COMPOSE_CODE for c in row)
 
 
 def test_base_converses():

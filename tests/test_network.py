@@ -760,17 +760,42 @@ def _chunk_first_lines(text):
 _PREAMBLE = "# preamble\n" * 8000
 
 
+def _with_irregular_line(lines, edit):
+    """lines with one irregular line put in by edit; returns (lines, its number).
+
+    "end" and "mid" edits put a line after the last line or before the middle
+    one.  "mid-lower" writes the middle line's spelling in lower case there
+    and on every later line that has it, so later chunks hold a spelling that
+    only the grammar has met.
+    """
+    where, _, what = edit.partition(" ")
+    k = len(lines) if where == "end" else len(lines) // 2
+    if where != "mid-lower":
+        return lines[:k] + [what] + lines[k:], k + 1
+    lines = lines[:]
+    spelling = lines[k].partition(" : ")[2]
+    for j in range(k, len(lines)):
+        pair, _, right = lines[j].partition(" : ")
+        if right == spelling:
+            lines[j] = f"{pair} : {spelling.lower()}"
+    return lines, k + 1
+
+
 @pytest.mark.parametrize(
-    "chunk, head, tail, n_chunks",
+    "chunk, head, edit, n_chunks",
     [
-        (network._CHUNK, "", "", 1),
-        (1 << 16, "", "", 13),
-        (1 << 16, "", "# end\n", 13),
-        (1 << 16, "", "# r\u00e9gion\n", 13),
-        (1 << 16, _PREAMBLE, "", 14),
+        (network._CHUNK, "", None, 25),
+        (network._CHUNK, "", "mid # mid", 25),
+        (network._CHUNK, "", "mid-lower", 25),
+        (1 << 16, "", None, 13),
+        (1 << 16, "", "end # end", 13),
+        (1 << 16, "", "end # r\u00e9gion", 13),
+        (1 << 16, _PREAMBLE, None, 14),
     ],
     ids=[
         "plain-chunk-default",
+        "mid-comment-chunk-default",
+        "mid-lower-spelling-chunk-default",
         "plain-chunk-64k",
         "comment-chunk-64k",
         "non-ascii-chunk-64k",
@@ -778,7 +803,7 @@ _PREAMBLE = "# preamble\n" * 8000
     ],
 )
 def test_only_a_chunk_with_an_irregular_line_goes_through_the_grammar(
-    monkeypatch, chunk, head, tail, n_chunks
+    monkeypatch, chunk, head, edit, n_chunks
 ):
     calls = []  # the line numbers handed to _parse_line, in call order
     parse_line = network._parse_line
@@ -790,7 +815,10 @@ def test_only_a_chunk_with_an_irregular_line_goes_through_the_grammar(
     monkeypatch.setattr(network, "_parse_line", counted)
     monkeypatch.setattr(network, "_CHUNK", chunk)
     net = random_network(400, 0.5, M99_PALETTE, rng=11)
-    text = head + serialize_network(net) + tail
+    lines = (head + serialize_network(net)).splitlines()
+    if edit:
+        lines, bad = _with_irregular_line(lines, edit)
+    text = "\n".join(lines) + "\n"
     firsts = _chunk_first_lines(text)
     assert len(firsts) == n_chunks
     got = parse_network(text)
@@ -799,11 +827,17 @@ def test_only_a_chunk_with_an_irregular_line_goes_through_the_grammar(
     assert got.names == want.names and np.array_equal(got.to_array(), want.to_array())
     # Each chunk before the one holding 'nodes:' twice, by the header search
     # and then by the grammar; then the lines up to 'nodes:'; then every
-    # line of the last chunk if it is irregular.
+    # line of the chunk that holds the irregular line, and no later one.
     nodes = head.count("\n") + 1
     before = [f for f in firsts if f <= nodes]
     preamble = [k for a, b in zip(before, before[1:]) for k in [*range(a, b)] * 2]
-    grammar = range(firsts[-1], text.count("\n") + 1) if tail else ()
+    grammar = ()
+    if edit:
+        c = max(k for k, f in enumerate(firsts) if f <= bad)
+        assert 0 < c < n_chunks - 1 or edit.startswith("end")
+        grammar = range(firsts[c], [*firsts, len(lines) + 1][c + 1])
+    if edit == "mid-lower":  # the last chunk holds the spelling the grammar met
+        assert " : c" in "\n".join(lines[firsts[-1] - 1 :])  # canonical ones begin 'C'
     assert calls == [*preamble, *range(before[-1], nodes + 1), *grammar]
 
 
