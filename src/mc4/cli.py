@@ -86,12 +86,26 @@ _CATALOGS = {
 
 def _read_network(path: str) -> ConstraintNetwork:
     """Parse the network in a file, or on stdin for "-", read as UTF-8 with
-    or without a byte-order mark."""
+    or without a byte-order mark.
+
+    The bytes are read whole and decoded once with utf-8-sig, which drops a
+    leading byte-order mark; a file that is not UTF-8 raises the
+    UnicodeDecodeError a text-mode read raises.  Line ends are left as they
+    are: parse_network splits lines as str.splitlines does, so '\\r\\n' and
+    '\\r' end a line just as '\\n' does.  The file is opened without
+    pathlib, whose path object costs about as much as the read itself;
+    only a failed open goes through pathlib, so that the OSError names the
+    file as pathlib normalises it ('./a.net' as 'a.net'), the form mc4's
+    error messages use."""
     if path == "-":
-        text = sys.stdin.buffer.read().decode("utf-8-sig")
+        data = sys.stdin.buffer.read()
     else:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    return parse_network(text)
+        try:
+            with open(path, "rb") as f:
+                data = f.read()
+        except OSError:
+            data = Path(path).read_bytes()
+    return parse_network(data.decode("utf-8-sig"))
 
 
 def _parse_profile(items: list[str]) -> RelationSet:
@@ -160,7 +174,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         out = _FORCED_SOLVERS[args.solver](net)
     if args.json:
-        print(json.dumps(_verdict_json(out)))
+        print(json.dumps(_verdict_json(out), check_circular=False))
     else:
         print(f"consistent: {'yes' if out.consistent else 'no'}")
         print(f"solver: {out.solver}")

@@ -177,13 +177,18 @@ def _propagate(m: np.ndarray, pivots: Sequence[int]) -> bool:
 
     Returns False when m holds a NONE, either on input or at the end of a
     sweep, and stops there; otherwise returns True.
+
+    The next round's pivots are handed on as a list of Python ints: the
+    sweep indexes m[:, k] and m[k] with each, and an int index costs less
+    than a numpy scalar one, which counts on small networks, where a round
+    sweeps a handful of pivots over a matrix of a few hundred cells.
     """
     while m.all():
         if not len(pivots):
             return True
         before = m.copy()
         _pivot_sweep(m, pivots)
-        pivots = np.flatnonzero((m != before).any(axis=0))
+        pivots = (m != before).any(axis=0).nonzero()[0].tolist()
     return False
 
 

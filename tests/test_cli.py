@@ -164,6 +164,13 @@ def test_solve_missing_file_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_solve_names_a_missing_file_by_its_normalised_path(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "solve", "./missing.net")
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: 'missing.net'\n"
+
+
 def test_solve_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(CONSISTENT_TEXT.encode())))
     code, out, _ = run(capsys, "solve", "-", "--json")
@@ -187,6 +194,23 @@ def test_solve_accepts_a_byte_order_mark_on_stdin(capsys, monkeypatch):
     code, out, err = run(capsys, "solve", "-", "--json")
     assert (code, err) == (0, "")
     assert json.loads(out)["consistent"] is True
+
+
+UNDECODABLE_TEXT = b"nodes: a\xff b\na b : CG\n"
+UNDECODABLE_ERROR = (
+    "error: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte\n"
+)
+
+
+def test_solve_rejects_undecodable_bytes_in_a_file(capsys, tmp_path):
+    path = tmp_path / "latin1.net"
+    path.write_bytes(UNDECODABLE_TEXT)
+    assert run(capsys, "solve", str(path), "--json") == (2, "", UNDECODABLE_ERROR)
+
+
+def test_solve_rejects_undecodable_bytes_on_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(UNDECODABLE_TEXT)))
+    assert run(capsys, "solve", "-", "--json") == (2, "", UNDECODABLE_ERROR)
 
 
 # ---------------------------------------------------------------------------
