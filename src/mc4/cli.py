@@ -89,23 +89,17 @@ def _read_network(path: str) -> ConstraintNetwork:
     or without a byte-order mark.
 
     The bytes are read whole and decoded once with utf-8-sig, which drops a
-    leading byte-order mark; a file that is not UTF-8 raises the
-    UnicodeDecodeError a text-mode read raises.  Line ends are left as they
-    are: parse_network splits lines as str.splitlines does, so '\\r\\n' and
-    '\\r' end a line just as '\\n' does.  The file is opened without
-    pathlib, whose path object costs about as much as the read itself;
-    only a failed open goes through pathlib, so that the OSError names the
-    file as pathlib normalises it ('./a.net' as 'a.net'), the form mc4's
-    error messages use."""
+    leading byte-order mark, and only the text is kept while it is parsed.
+    A file that is not UTF-8 raises the UnicodeDecodeError a text-mode read
+    raises, and a file that cannot be read raises pathlib's OSError, which
+    names the path as pathlib normalises it ('./a.net' as 'a.net').  Line
+    ends are left as they are: parse_network splits lines as
+    str.splitlines does, so '\\r\\n' and '\\r' end a line just as '\\n' does."""
     if path == "-":
-        data = sys.stdin.buffer.read()
+        text = sys.stdin.buffer.read().decode("utf-8-sig")
     else:
-        try:
-            with open(path, "rb") as f:
-                data = f.read()
-        except OSError:
-            data = Path(path).read_bytes()
-    return parse_network(data.decode("utf-8-sig"))
+        text = Path(path).read_bytes().decode("utf-8-sig")
+    return parse_network(text)
 
 
 def _parse_profile(items: list[str]) -> RelationSet:

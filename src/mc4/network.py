@@ -36,6 +36,7 @@ mc4.solvers.
 
 from __future__ import annotations
 
+import re
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -239,17 +240,18 @@ _ASCII_CLASS = bytes(
 # about 1 MB at 32 KiB, sit in memory reused from chunk to chunk, not in
 # fresh pages (parse_network's docstring has the measurements).
 _CHUNK = 1 << 15
+# A line break a chunk may end at: '\n', a lone '\r', or a CRLF taken whole.
+_CHUNK_BREAK = re.compile(r"\r\n?|\n")
 
 
 def parse_network(text: str) -> ConstraintNetwork:
     """Parse the text format documented in the module docstring.
 
-    The text is read in chunks of whole lines, each ending after the last
-    '\\n' within _CHUNK characters (or the first after them).  An ASCII
-    chunk is scanned once as bytes (_scan_lines), which splits it into
-    lines as str.splitlines does and counts each line's tokens as
-    str.split does; until the 'nodes:' line is found, the lines that hold
-    a token go through _parse_line one at a time.
+    The text is read in chunks of whole lines (_chunk_end).  An ASCII chunk
+    is scanned once as bytes (_scan_lines), which splits it into lines as
+    str.splitlines does and counts each line's tokens as str.split does;
+    until the 'nodes:' line is found, the lines that hold a token go
+    through _parse_line one at a time.
 
     The chunk is small so that each one's tokens, lookups and scatter run
     in memory the allocator reuses from chunk to chunk.  A 600 KB
@@ -289,9 +291,7 @@ def parse_network(text: str) -> ConstraintNetwork:
     lineno = 1  # number of the next chunk's first line
     pos = 0
     while pos < len(text):
-        end = pos + _CHUNK
-        if end < len(text):
-            end = (text.rfind("\n", pos, end) + 1) or (text.find("\n", end) + 1) or len(text)
+        end = _chunk_end(text, pos)
         chunk = text[pos:end]
         pos = end
         first, before = lineno, net
@@ -340,6 +340,25 @@ def parse_network(text: str) -> ConstraintNetwork:
     if net is None:
         raise ParseError("no 'nodes:' line found")
     return net
+
+
+def _chunk_end(text: str, pos: int) -> int:
+    """End of the chunk of text that begins at pos: just after the last
+    '\\n' or lone '\\r' within _CHUNK characters, or the first one after
+    them, never between the '\\r' and '\\n' of a CRLF; or the end of text.
+
+    A chunk may end at '\\r' as well as '\\n', so that a text whose lines
+    end in a lone '\\r' is read in chunks like any other.
+    """
+    end = pos + _CHUNK
+    if end >= len(text):
+        return len(text)
+    cut = text.rfind("\n", pos, end)
+    cut = max(cut, text.rfind("\r", max(cut, pos), end))
+    if cut >= 0:
+        return cut + 1 + text.startswith("\r\n", cut)
+    found = _CHUNK_BREAK.search(text, end)  # a line longer than _CHUNK
+    return found.end() if found else len(text)
 
 
 def _scan_lines(chunk: str) -> tuple[np.ndarray, np.ndarray]:

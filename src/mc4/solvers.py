@@ -14,10 +14,9 @@ spectrum of label profiles:
   label matrix and propagates from the two ends of the pair it narrowed,
   with the same pivot sweeps.  The branch pair is the first label outside
   M99 in row-major order over the upper triangle of the node's label
-  matrix, read through an index of that triangle built once per search,
-  and a node with no such label is a leaf: path consistency decides M99,
-  so a leaf is consistent, and its scenario is read from its labels
-  through the same index.  Complete on any profile.
+  matrix, whose mask is built once per search; a node with no such label
+  is a leaf: path consistency decides M99, so a leaf is consistent, and
+  its scenario is read from its labels.  Complete on any profile.
 - solve_trivial_core: profiles whose every label is NONE or contains a
   fixed core (CG, CNO, or CGPP|CGPPi).  Consistency is the absence of an
   explicit NONE label, and a one-shape canonical scenario always works.
@@ -187,9 +186,17 @@ def is_valid_scenario(net: ConstraintNetwork, scenario: Scenario) -> bool:
     return np.array_equal(_closure(leq), leq)
 
 
-def _first_upper_pair(mask: np.ndarray) -> tuple[int, int] | None:
-    """First (i, j) with i < j and mask[i, j] set, in row-major order."""
-    upper = (mask & _upper_triangle(len(mask))).ravel()
+def _first_upper_pair(
+    mask: np.ndarray, triangle: np.ndarray | None = None
+) -> tuple[int, int] | None:
+    """First (i, j) with i < j and mask[i, j] set, in row-major order.
+
+    triangle is _upper_triangle(len(mask)); a caller that asks again and
+    again of one size builds it once and passes it in.
+    """
+    if triangle is None:
+        triangle = _upper_triangle(len(mask))
+    upper = (mask & triangle).ravel()
     if not upper.size:
         return None
     k = int(upper.argmax())
@@ -300,48 +307,40 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
     CGPP|CGPPi and CG|CGPP|CGPPi fall outside M99, so the search branches
     only on those: on the first such label in row-major order over the
     upper triangle of the node's label matrix, trying CGPP then CGPPi for
-    the first and CG|CGPP then CGPPi for the second.  The flat offsets of
-    that triangle, in the row-major order _first_upper_pair reads, are
-    built once per search; each node gathers its labels through them and
-    takes the first one outside M99 with argmax, as _first_upper_pair
-    does, so no node builds an n-by-n mask.  After each commitment it
+    the first and CG|CGPP then CGPPi for the second.  The mask of that
+    triangle is built once per search and handed to _first_upper_pair at
+    every node, so no node builds one of its own.  After each commitment it
     propagates only from the pair it narrowed: the parent is at the
     path-consistency fixpoint, so only the constraints through that pair's
     two ends can break, and _propagate pivots on those two vertices first.
     Each child is a copy of its parent's label matrix with the committed
     label written in, so a failed child leaves its parent untouched.  The
     pending choices, (parent matrix, pair, label) with the next one last,
-    live on an explicit stack, so the depth of the search is not bounded
-    by Python's recursion limit.  explored counts the commitments.
+    live on an explicit stack, so the depth of the search is not bounded by
+    Python's recursion limit.  explored counts the commitments.
 
     A node with no label outside M99 is a leaf, and path consistency has
-    decided it: its scenario, read from the labels it gathered through the
-    same offsets, reads CG from CG, CGPP from CGPP and CG|CGPP, CGPPi from
-    their converses and CNO from every label holding CNO.  Its "inside or
-    congruent" relation is the pairs labelled CG, CGPP or CG|CGPP, a
-    preorder at the fixpoint (CG|CGPP composes with itself to CG|CGPP), so
-    the scenario is closed.
+    decided it: its scenario reads CG from CG, CGPP from CGPP and CG|CGPP,
+    CGPPi from their converses and CNO from every label holding CNO.  Its
+    "inside or congruent" relation is the pairs labelled CG, CGPP or
+    CG|CGPP, a preorder at the fixpoint (CG|CGPP composes with itself to
+    CG|CGPP), so the scenario is closed.
     """
     if (witness := _bottom_witness(net)) is not None:
         return SolveOutcome(False, "backtracking", witness=witness)
     ok, refined = path_consistency(net)
     m = refined._m
-    n = len(m)
-    upper = np.flatnonzero(_upper_triangle(n))
+    triangle = _upper_triangle(len(m))
     explored = 0
     # ok: the node m survived propagation, so it branches or is a leaf.
     todo: list[tuple[np.ndarray, tuple[int, int], int]] = []
     while ok or todo:
         if ok:
-            labels = m.take(upper)
-            outside = _OUTSIDE_M99.take(labels)
-            if not outside.any():
-                rows, cols = np.divmod(upper, n)
-                pairs = zip(rows.tolist(), cols.tolist(), _LEAF_ATOM.take(labels).tolist())
-                return SolveOutcome(True, "backtracking", scenario=Scenario(tuple(pairs)))
-            k = int(outside.argmax())
-            pair = divmod(int(upper[k]), n)
-            todo += [(m, pair, v) for v in reversed(_M99_SPLITS[int(labels[k])])]
+            pair = _first_upper_pair(_OUTSIDE_M99.take(m), triangle)
+            if pair is None:
+                scenario = _scenario_of(_LEAF_ATOM[m].tolist())
+                return SolveOutcome(True, "backtracking", scenario=scenario)
+            todo += [(m, pair, v) for v in reversed(_M99_SPLITS[m[pair]])]
         parent, (i, j), v = todo.pop()
         explored += 1
         m = parent.copy()

@@ -747,9 +747,7 @@ def _chunk_first_lines(text):
     """Number of the first line of each chunk parse_network reads text in."""
     firsts, pos, lineno = [], 0, 1
     while pos < len(text):
-        end = pos + network._CHUNK
-        if end < len(text):
-            end = (text.rfind("\n", pos, end) + 1) or (text.find("\n", end) + 1) or len(text)
+        end = network._chunk_end(text, pos)
         firsts.append(lineno)
         lineno += len(text[pos:end].splitlines())
         pos = end
@@ -839,6 +837,34 @@ def test_only_a_chunk_with_an_irregular_line_goes_through_the_grammar(
     if edit == "mid-lower":  # the last chunk holds the spelling the grammar met
         assert " : c" in "\n".join(lines[firsts[-1] - 1 :])  # canonical ones begin 'C'
     assert calls == [*preamble, *range(before[-1], nodes + 1), *grammar]
+
+
+@pytest.mark.parametrize("eol", ["\r", "\r\n"], ids=["cr", "crlf"])
+@pytest.mark.parametrize("chunk", [network._CHUNK, 41], ids=["chunk-default", "chunk-41"])
+def test_chunks_end_at_a_lone_cr_and_never_inside_a_crlf(monkeypatch, chunk, eol):
+    scans = []  # the chunks handed to _scan_lines, in order
+    scan_lines = network._scan_lines
+
+    def counted(text):
+        scans.append(text)
+        return scan_lines(text)
+
+    monkeypatch.setattr(network, "_scan_lines", counted)
+    monkeypatch.setattr(network, "_CHUNK", chunk)
+    net = random_network(400 if chunk == network._CHUNK else 12, 0.5, M99_PALETTE, rng=11)
+    lines = serialize_network(net).splitlines()
+    text = eol.join(lines) + eol
+    got = parse_network(text)
+    assert np.array_equal(got.to_array(), net.to_array())
+    # Whole lines, every chunk after the first (which holds the long
+    # 'nodes:' line) within _CHUNK, or one past it when it ends in a CRLF.
+    assert "".join(scans) == text
+    assert len(scans) >= len(text) // (chunk + 1)
+    assert all(s.endswith(eol) and s.count(eol) == len(s.splitlines()) for s in scans)
+    assert all(len(s) <= chunk + 1 for s in scans[1:])
+    with pytest.raises(ParseError) as exc:
+        parse_network(eol.join([*lines, "v0 v1 : XX"]) + eol)
+    assert exc.value.line == len(lines) + 1
 
 
 def test_serialize_omits_all_and_round_trips():
