@@ -267,8 +267,7 @@ def parse_network(text: str) -> ConstraintNetwork:
     vertex name or spelling holds '#', so a plain chunk holds no comment.
     One str.split of its text gives the tokens, four a line, one map over
     the vertex index and one over the file's relation spellings resolve
-    them, and array operations intersect them into the label matrix, in
-    either orientation.
+    them, and one scatter intersects them into the label matrix.
 
     Any other chunk (one with a non-ASCII character, an irregular line
     after 'nodes:', or no 'nodes:' line yet) goes through _parse_line, the
@@ -278,6 +277,11 @@ def parse_network(text: str) -> ConstraintNetwork:
     loop over text.splitlines() would raise.  A chunk read this way is about
     3x slower than in bulk, about 2 ms more for the 1650 lines of a 32 KiB
     chunk of a dense-random file; only the chunk that needs it pays.
+
+    Each declaration, in bulk or by _parse_line, is written into its own
+    cell (i, j) only.  After the last chunk one pass intersects each cell
+    with the converse of its mirror, so a pair's two cells hold converse
+    labels that meet its declarations in either orientation.
 
     Raises:
         ParseError: with a 1-based line number, on any malformed line,
@@ -328,17 +332,12 @@ def parse_network(text: str) -> ConstraintNetwork:
             for k, line in enumerate(lines, first):
                 net = _parse_line(line, k, net, spellings)
             continue
-        # Declarations in either orientation meet: the label at (i, j) is
-        # intersected with the converse of the one at (j, i), and the pair's
-        # two cells are set together.
-        flat, flip = i * len(net) + j, j * len(net) + i
-        m = net._m.reshape(-1)
-        np.bitwise_and.at(m, flat, codes)
-        both = m.take(flat) & _CONVERSE_ARR.take(m.take(flip))
-        m[flat] = both
-        m[flip] = _CONVERSE_ARR.take(both)
+        np.bitwise_and.at(net._m.reshape(-1), i * len(net) + j, codes)
     if net is None:
         raise ParseError("no 'nodes:' line found")
+    # A converse swaps CGPP and CGPPi (bits 1 and 2).  Bit arithmetic needs a
+    # byte a cell; a take from _CONVERSE_ARR would page in eight a cell, slower.
+    net._m &= net._m.T & 9 | (net._m.T & 2) << 1 | net._m.T >> 1 & 2
     return net
 
 
@@ -399,7 +398,8 @@ def _parse_line(
 
     Before the 'nodes:' line (net None), the first non-blank line must be
     it, and the network it declares is returned.  After it, a constraint
-    line is intersected into the label matrix of net, which is returned.
+    line 'u v : R' is intersected into the cell (u, v) of net, which is
+    returned; parse_network closes the converse cells after its last chunk.
 
     Raises:
         ParseError: at lineno, for every error parse_network reports.
@@ -447,9 +447,7 @@ def _parse_line(
         raise ParseError(
             f"self-loop on {u!r} excludes CG and is unsatisfiable", token=u, line=lineno
         )
-    m = net._m
-    m[i, j] &= code
-    m[j, i] = _CONVERSE_CODE[m[i, j]]
+    net._m[i, j] &= code
     return net
 
 

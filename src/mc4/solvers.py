@@ -14,9 +14,9 @@ spectrum of label profiles:
   label matrix and propagates from the two ends of the pair it narrowed,
   with the same pivot sweeps.  The branch pair is the first label outside
   M99 in row-major order over the upper triangle of the node's label
-  matrix, whose mask is built once per search; a node with no such label
-  is a leaf: path consistency decides M99, so a leaf is consistent, and
-  its scenario is read from its labels.  Complete on any profile.
+  matrix; a node with no such label is a leaf: path consistency decides
+  M99, so a leaf is consistent, and its scenario is read from its labels.
+  Complete on any profile.
 - solve_trivial_core: profiles whose every label is NONE or contains a
   fixed core (CG, CNO, or CGPP|CGPPi).  Consistency is the absence of an
   explicit NONE label, and a one-shape canonical scenario always works.
@@ -72,7 +72,6 @@ from .network import (
     _POPCOUNT_ARR,
     ConstraintNetwork,
     _propagate,
-    _upper_triangle,
     path_consistency,
 )
 from .subalgebra import EQX, LEQ, M81, M99, NLE, Kind, TractabilityClass, classify
@@ -186,21 +185,18 @@ def is_valid_scenario(net: ConstraintNetwork, scenario: Scenario) -> bool:
     return np.array_equal(_closure(leq), leq)
 
 
-def _first_upper_pair(
-    mask: np.ndarray, triangle: np.ndarray | None = None
-) -> tuple[int, int] | None:
+def _first_upper_pair(mask: np.ndarray) -> tuple[int, int] | None:
     """First (i, j) with i < j and mask[i, j] set, in row-major order.
 
-    triangle is _upper_triangle(len(mask)); a caller that asks again and
-    again of one size builds it once and passes it in.
+    mask must be symmetric with a clear diagonal.  Then its first set cell
+    in row-major order is that pair: a set cell (j, i) below the diagonal
+    has its mirror (i, j) set, in an earlier row.
     """
-    if triangle is None:
-        triangle = _upper_triangle(len(mask))
-    upper = (mask & triangle).ravel()
-    if not upper.size:
+    flat = mask.ravel()
+    if not flat.size:
         return None
-    k = int(upper.argmax())
-    return divmod(k, len(mask)) if upper[k] else None
+    k = int(flat.argmax())
+    return divmod(k, len(mask)) if flat[k] else None
 
 
 def _bottom_witness(net: ConstraintNetwork) -> dict | None:
@@ -216,7 +212,9 @@ def _bottom_witness(net: ConstraintNetwork) -> dict | None:
 
 def _check_profile(net: ConstraintNetwork, bad_mask: np.ndarray, reason: str) -> None:
     """Raise ProfileError naming the first pair of bad_mask above the
-    diagonal, in row-major order, and its label; reason ends the message."""
+    diagonal, in row-major order, and its label; reason ends the message.
+    bad_mask is symmetric with a clear diagonal, as _first_upper_pair needs:
+    the catalogs and the trivial cores are closed under converse."""
     bad = _first_upper_pair(bad_mask)
     if bad is not None:
         i, j = bad
@@ -306,10 +304,10 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
     exhausted before its first commitment, with explored 0.  Only
     CGPP|CGPPi and CG|CGPP|CGPPi fall outside M99, so the search branches
     only on those: on the first such label in row-major order over the
-    upper triangle of the node's label matrix, trying CGPP then CGPPi for
-    the first and CG|CGPP then CGPPi for the second.  The mask of that
-    triangle is built once per search and handed to _first_upper_pair at
-    every node, so no node builds one of its own.  After each commitment it
+    upper triangle of the node's label matrix (both are self-converse and
+    the diagonal holds CG, so their mask is symmetric with a clear
+    diagonal, as _first_upper_pair needs), trying CGPP then CGPPi for the
+    first and CG|CGPP then CGPPi for the second.  After each commitment it
     propagates only from the pair it narrowed: the parent is at the
     path-consistency fixpoint, so only the constraints through that pair's
     two ends can break, and _propagate pivots on those two vertices first.
@@ -330,13 +328,12 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
         return SolveOutcome(False, "backtracking", witness=witness)
     ok, refined = path_consistency(net)
     m = refined._m
-    triangle = _upper_triangle(len(m))
     explored = 0
     # ok: the node m survived propagation, so it branches or is a leaf.
     todo: list[tuple[np.ndarray, tuple[int, int], int]] = []
     while ok or todo:
         if ok:
-            pair = _first_upper_pair(_OUTSIDE_M99.take(m), triangle)
+            pair = _first_upper_pair(_OUTSIDE_M99.take(m))
             if pair is None:
                 scenario = _scenario_of(_LEAF_ATOM[m].tolist())
                 return SolveOutcome(True, "backtracking", scenario=scenario)
@@ -377,7 +374,9 @@ def solve_trivial_core(net: ConstraintNetwork, core: Relation) -> SolveOutcome:
     if (witness := _bottom_witness(net)) is not None:
         return SolveOutcome(False, "trivial-core", witness=witness)
     reason = f"neither is NONE nor contains {format_relation(core)}"
-    _check_profile(net, net._m & int(core) != int(core), reason)
+    bad = net._m & int(core) != int(core)
+    np.fill_diagonal(bad, False)  # CG holds neither CNO nor CGPP|CGPPi
+    _check_profile(net, bad, reason)
     n = len(net)
     row = [_TRIVIAL_CORES[core]] * n
     return SolveOutcome(True, "trivial-core", scenario=_scenario_of([row] * n))
@@ -511,7 +510,8 @@ def detect_m99(g: GadgetGraph, names) -> tuple[bool, dict | None]:
     NONE label puts nothing into the graph; solve_m99 and solve_m81 answer
     it before building one.  The witness is the first contradicted NLE pair,
     in row-major order over the upper triangle; its cycle is the chord's
-    mutual-reachability class.
+    mutual-reachability class.  nle is symmetric with a clear diagonal (NLE
+    is its own converse and excludes CG), and so is nle & r & r.T.
     """
     r = _closure(g.leq)
     while (fire := g.eqx & r.T & ~r).any():

@@ -22,10 +22,18 @@ from mc4.network import (
     random_network,
 )
 from mc4.solvers import (
+    _LEQ,
+    _M81_KINDS,
+    _M99_KINDS,
+    _NLE,
+    _OUTSIDE_M99,
+    _REJECT,
+    _TRIVIAL_CORES,
     GadgetGraph,
     ProfileError,
     Scenario,
     _closure,
+    _first_upper_pair,
     detect_m81,
     detect_m99,
     is_valid_scenario,
@@ -39,7 +47,7 @@ from mc4.solvers import (
     to_gadget_m81,
     to_gadget_m99,
 )
-from mc4.subalgebra import M81, M99, Kind
+from mc4.subalgebra import M72, M81, M99, Kind
 
 CG = Relation.CG
 CGPP = Relation.CGPP
@@ -192,6 +200,45 @@ def test_upper_none_beats_every_profile_error():
         out = solver(net)
         assert not out.consistent
         assert out.witness == {"type": "bottom_edge", "edge": ["v1", "v2"]}
+
+
+def first_upper_pair_loop(mask):
+    n = len(mask)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if mask[i, j]:
+                return i, j
+    return None
+
+
+def test_first_upper_pair_reads_every_caller_mask_as_the_loop_does():
+    # _first_upper_pair takes the first set cell of the whole matrix; that
+    # is the first pair above the diagonal only for a symmetric mask with a
+    # clear diagonal, so each mask a caller builds must be one.
+    rng = np.random.default_rng(27)
+    palettes = (tuple(Relation(c) for c in range(16)), tuple(M99), tuple(M81), tuple(M72))
+    off_diagonal = ~np.eye(13, dtype=bool)
+    for trial in range(240):
+        n = trial % 13
+        palette = palettes[trial // 13 % len(palettes)]
+        net = random_network(n, 0.5, palette, rng=rng) if n else ConstraintNetwork(())
+        matrices = [net._m]
+        ok, refined = path_consistency(net)
+        if ok:
+            matrices.append(refined._m)  # a search node
+        for m in matrices:
+            masks = [(m == 0) & off_diagonal[:n, :n], _OUTSIDE_M99.take(m)]
+            masks += [(kinds.take(m) & _REJECT) != 0 for kinds in (_M99_KINDS, _M81_KINDS)]
+            for core in _TRIVIAL_CORES:
+                masks.append((m & int(core) != int(core)) & off_diagonal[:n, :n])
+            for kinds in (_M99_KINDS, _M81_KINDS):
+                k = kinds.take(m)
+                r = _closure((k & _LEQ) != 0)
+                masks.append(((k & _NLE) != 0) & r & r.T)
+            for mask in masks:
+                assert np.array_equal(mask, mask.T)
+                assert not mask.diagonal().any()
+                assert _first_upper_pair(mask) == first_upper_pair_loop(mask)
 
 
 def test_self_loop_witness_names_the_lowest_vertex():
@@ -629,6 +676,12 @@ def test_trivial_core_reports_the_first_pair_in_row_major_order():
     with pytest.raises(ProfileError) as info:
         solve_trivial_core(net_of(4, stray), CG)
     assert str(info.value) == "label CNO on (v0, v3) neither is NONE nor contains CG"
+    # The CG diagonal holds neither of the other two cores.
+    net = net_of(4, [(1, 2, CG), (0, 3, CG)])
+    for core, spelling in ((CNO, "CNO"), (CGPP | CGPPI, "CGPP|CGPPi")):
+        with pytest.raises(ProfileError) as info:
+            solve_trivial_core(net, core)
+        assert str(info.value) == f"label CG on (v0, v3) neither is NONE nor contains {spelling}"
 
 
 def test_trivial_core_profile_errors():
