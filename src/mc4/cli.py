@@ -92,9 +92,9 @@ def _read_network(path: str) -> ConstraintNetwork:
     leading byte-order mark, and only the text is kept while it is parsed.
     A file that is not UTF-8 raises the UnicodeDecodeError a text-mode read
     raises, and a file that cannot be read raises pathlib's OSError, which
-    names the path as pathlib normalises it ('./a.net' as 'a.net').  Line
-    ends are left as they are: parse_network splits lines as
-    str.splitlines does, so '\\r\\n' and '\\r' end a line just as '\\n' does."""
+    names the path as pathlib normalises it ('./a.net' as 'a.net').
+    parse_network folds each '\\r\\n' and each lone '\\r' into '\\n', so
+    they end a line just as '\\n' does."""
     if path == "-":
         text = sys.stdin.buffer.read().decode("utf-8-sig")
     else:

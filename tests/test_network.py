@@ -2,6 +2,7 @@
 
 import random
 from collections import deque
+from itertools import cycle
 
 import numpy as np
 import pytest
@@ -839,9 +840,18 @@ def test_only_a_chunk_with_an_irregular_line_goes_through_the_grammar(
     assert calls == [*preamble, *range(before[-1], nodes + 1), *grammar]
 
 
-@pytest.mark.parametrize("eol", ["\r", "\r\n"], ids=["cr", "crlf"])
+def _join_lines(lines, eols):
+    """lines with the line ends eols after them in turn."""
+    return "".join(map(str.__add__, lines, cycle(eols)))
+
+
+@pytest.mark.parametrize(
+    "eols", [("\r",), ("\r\n",), ("\r", "\n", "\r\n")], ids=["cr", "crlf", "mixed"]
+)
 @pytest.mark.parametrize("chunk", [network._CHUNK, 41], ids=["chunk-default", "chunk-41"])
-def test_chunks_end_at_a_lone_cr_and_never_inside_a_crlf(monkeypatch, chunk, eol):
+def test_chunks_end_at_a_lone_cr_and_never_inside_a_crlf(monkeypatch, chunk, eols):
+    """CR, CRLF and mixed texts are read in the chunks of their '\n' form,
+    so a chunk ends where a lone CR stood and never between '\r' and '\n'."""
     scans = []  # the chunks handed to _scan_lines, in order
     scan_lines = network._scan_lines
 
@@ -853,17 +863,20 @@ def test_chunks_end_at_a_lone_cr_and_never_inside_a_crlf(monkeypatch, chunk, eol
     monkeypatch.setattr(network, "_CHUNK", chunk)
     net = random_network(400 if chunk == network._CHUNK else 12, 0.5, M99_PALETTE, rng=11)
     lines = serialize_network(net).splitlines()
-    text = eol.join(lines) + eol
-    got = parse_network(text)
-    assert np.array_equal(got.to_array(), net.to_array())
-    # Whole lines, every chunk after the first (which holds the long
-    # 'nodes:' line) within _CHUNK, or one past it when it ends in a CRLF.
-    assert "".join(scans) == text
-    assert len(scans) >= len(text) // (chunk + 1)
-    assert all(s.endswith(eol) and s.count(eol) == len(s.splitlines()) for s in scans)
-    assert all(len(s) <= chunk + 1 for s in scans[1:])
+    lf = parse_network(_join_lines(lines, ("\n",)))
+    assert np.array_equal(lf.to_array(), net.to_array())
+    lf_scans, scans[:] = scans[:], []
+    assert len(lf_scans) > 2
+    got = parse_network(_join_lines(lines, eols))
+    assert got.names == lf.names and np.array_equal(got.to_array(), lf.to_array())
+    # Compared as lists of lengths and of lines, never as joined strings: a
+    # failure then names the first bad chunk or line, where a string diff
+    # of some 800 KB would take minutes.
+    assert [len(s) for s in scans] == [len(s) for s in lf_scans]
+    assert [s.splitlines() for s in scans] == [s.splitlines() for s in lf_scans]
+    assert all(len(s) >= chunk and s.endswith("\n") for s in scans[:-1])
     with pytest.raises(ParseError) as exc:
-        parse_network(eol.join([*lines, "v0 v1 : XX"]) + eol)
+        parse_network(_join_lines([*lines, "v0 v1 : XX"], eols))
     assert exc.value.line == len(lines) + 1
 
 
