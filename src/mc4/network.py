@@ -25,8 +25,10 @@ NONE there.  Every contradiction is thus a NONE label in the matrix.
 the chunk is ASCII and every line of it is blank or plain (four tokens
 ``NAME NAME : RELATION``, two distinct declared vertices, a known
 spelling, no comment) and otherwise by the grammar, one line at a time.
-Its errors, their messages, tokens and line numbers are those of a
-line-by-line reading of the same text.
+The bulk read resolves names and spellings of up to 31 bytes by their
+bytes, in hash tables, and makes no Python object per token.  Its errors,
+their messages, tokens and line numbers are those of a line-by-line
+reading of the same text.
 
 ``path_consistency`` is the workhorse approximation: it refines every label
 against all two-step paths until a fixpoint, detecting many inconsistencies
@@ -36,7 +38,7 @@ mc4.solvers.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import compress, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -235,11 +237,148 @@ _ASCII_CLASS = bytes(
     _BREAK if len(f"a{chr(c)}b".splitlines()) == 2 else _SPACE if chr(c).isspace() else 0
     for c in range(128)
 ).ljust(256, b"\0")
-# Characters tokenised at once, at least: a chunk runs on to the end of the
-# line it reaches _CHUNK in.  Few enough that a chunk's token strings, about
-# 1 MB at 32 KiB, sit in memory reused from chunk to chunk, not in fresh
-# pages (parse_network's docstring has the measurements).
+# Characters scanned at once, at least: a chunk runs on to the end of the
+# line it reaches _CHUNK in.  Few enough that a chunk's arrays sit in memory
+# reused from chunk to chunk, not in fresh pages; enough that each chunk's
+# fixed numpy calls are a small part of its time.
 _CHUNK = 1 << 15
+
+# A token is looked up as a key of a few little-endian uint64 words: its
+# bytes, then 0xFF bytes.  A bulk chunk is ASCII, so a token holds no 0xFF
+# and the key gives the token back: "a" and "a\0" differ.  A table's keys
+# have the words its longest string needs, at most _KEY_WORDS, and always
+# one 0xFF byte or more.  A token too long for them fills its words with
+# its own bytes and is not found; one of 8 * _KEY_WORDS bytes or more gets
+# no 0xFF at all.  So names and spellings of up to 31 bytes are read in
+# bulk, and a chunk that uses a longer one is read by the grammar.
+_KEY_WORDS = 4
+# Spaces behind a chunk's bytes, so that a key read at any token start stays
+# inside them.
+_PAD = b" " * (8 * _KEY_WORDS)
+# Per word k of a key, the 0xFF bytes ORed into it for a token of each
+# length L in 0..8 * _KEY_WORDS: those at offsets L and up of the key.
+_KEY_FILL = list(
+    (
+        (np.arange(8 * _KEY_WORDS) >= np.arange(8 * _KEY_WORDS + 1)[:, None]) * np.uint8(255)
+    ).view("<u8").T.copy()
+)
+# Odd, so multiplying by it is a bijection on uint64 (Knuth, TAOCP vol. 3,
+# section 6.4): the golden ratio in 64 bits.
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+# The first word of an empty slot: all 0xFF, as no key's first word is.
+_EMPTY = ~np.uint64(0)
+
+
+def _token_keys(
+    view: np.ndarray, starts: np.ndarray, lengths: np.ndarray, words: int, first: int = 0
+) -> list[np.ndarray]:
+    """Words first up to words of the keys of the tokens that begin at
+    starts in view (see _scan_lines) and have the given lengths, as a list
+    of uint64 arrays shaped like starts."""
+    keys = []
+    for k in range(first, words):
+        word = view[8 * k :][starts]
+        word |= _KEY_FILL[k].take(lengths, mode="clip")
+        keys.append(word)
+    return keys
+
+
+class _ByteTable:
+    """Exact hash table from the short ASCII keys of a dict to its values,
+    looked up by the keys of tokens in a chunk's bytes (_token_keys).
+
+    A key's hash multiplies its first word by _HASH_MUL, then folds in each
+    further word by xor and multiply.  The top bits of the hash pick a home
+    slot, among eight slots a key and at least 2048, so that few keys share
+    one.  When some do, linear probing goes on from the home slot: keys are
+    placed in order of their home slots, each at the first slot past its
+    home and its predecessor, so every slot from a key's home to its own is
+    taken.  An empty slot holds _EMPTY words, and at least one follows the
+    last key, so a probe for a token that is not a key meets one.
+
+    Strings that are not ASCII or longer than 31 characters are left out:
+    no token of a chunk read in bulk can equal them.  given counts the keys
+    of the dict, those left out included.
+    """
+
+    __slots__ = ("given", "words", "shift", "keys", "values")
+
+    def __init__(self, mapping: dict[str, int], dtype: type):
+        keys, values = list(mapping), np.fromiter(mapping.values(), dtype, len(mapping))
+        self.given = len(keys)
+        longest = max(map(len, keys), default=0)
+        if longest >= 8 * _KEY_WORDS or not "".join(keys).isascii():
+            keep = [k.isascii() and len(k) < 8 * _KEY_WORDS for k in keys]
+            keys, values = list(compress(keys, keep)), values[keep]
+            longest = max(map(len, keys), default=0)
+        self.words = longest // 8 + 1
+        # Each key's bytes, then 0xFF bytes up to its words: its key as
+        # _token_keys reads a token.
+        size = 8 * self.words
+        data = "".join(map(str.ljust, keys, repeat(size), repeat("\xff"))).encode("latin-1")
+        found = [np.frombuffer(data, "<u8")[k :: self.words] for k in range(self.words)]
+        bits = max(8 * len(values) - 1, 2047).bit_length()
+        self.shift = np.uint64(64 - bits)
+        h = self._hash(found)
+        h >>= self.shift
+        at = h.view(np.intp)  # the top bit is clear
+        # Room for every key to sit past the last home slot, and one empty.
+        self.keys = [np.empty((1 << bits) + len(at) + 1, np.uint64) for _ in found]
+        self._place(at, found)
+        if np.count_nonzero(self._differ(at, found)):  # keys share home slots
+            order = at.argsort(kind="stable")
+            k = np.arange(len(at))
+            at[order] = np.maximum.accumulate(at.take(order) - k) + k
+            self._place(at, found)
+        self.values = np.empty(len(self.keys[0]), dtype)  # read at keys only
+        self.values[at] = values
+
+    def _place(self, at: np.ndarray, found: list[np.ndarray]) -> None:
+        for table, word in zip(self.keys, found):
+            table.fill(_EMPTY)
+            table[at] = word
+
+    def _hash(self, keys: list[np.ndarray]) -> np.ndarray:
+        h = keys[0] * _HASH_MUL
+        for word in keys[1:]:
+            h ^= word
+            h *= _HASH_MUL
+        return h
+
+    def _differ(self, slot: np.ndarray, keys: list[np.ndarray]) -> np.ndarray:
+        differ = self.keys[0].take(slot) != keys[0]
+        for table, word in zip(self.keys[1:], keys[1:]):
+            differ |= table.take(slot) != word
+        return differ
+
+    def get(
+        self, key0: np.ndarray, view: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+    ) -> np.ndarray | None:
+        """Values of the tokens that begin at starts in view and have the
+        given lengths, shaped like starts, or None when some token is not a
+        key.  key0 holds the first words of their keys (_token_keys); the
+        table reads any further words itself."""
+        keys = [key0, *_token_keys(view, starts, lengths, self.words, 1)]
+        h = self._hash(keys)
+        h >>= self.shift
+        slot = h.view(np.intp)  # the top bit is clear
+        differ = self._differ(slot, keys)
+        if np.count_nonzero(differ):  # tokens past their home slot, or not keys
+            flat = slot.reshape(-1)
+            keys = [word.reshape(-1) for word in keys]
+            lost = np.flatnonzero(differ)
+            while lost.size:
+                here = flat[lost]
+                if (self.keys[0].take(here) == _EMPTY).any():
+                    return None
+                flat[lost] = here = here + 1
+                lost = lost[self._differ(here, [word[lost] for word in keys])]
+        return self.values.take(slot)
+
+
+_SPELLING_TABLE = _ByteTable(_SPELLINGS, np.uint8)
+# The first word of the key of the token ':'.
+_COLON = _KEY_FILL[0][1] | np.uint64(ord(":"))
 
 
 def parse_network(text: str) -> ConstraintNetwork:
@@ -252,39 +391,42 @@ def parse_network(text: str) -> ConstraintNetwork:
 
     The text is read in chunks of whole lines (_chunk_end).  An ASCII chunk
     is scanned once as bytes (_scan_lines), which splits it into lines as
-    str.splitlines does and counts each line's tokens as str.split does;
-    until the 'nodes:' line is found, the lines that hold a token go
-    through _parse_line one at a time.
-
-    The chunk is small so that each one's tokens, lookups and scatter run
-    in memory the allocator reuses from chunk to chunk.  A 600 KB
-    dense-random file read as one chunk holds about 9 MB of token strings
-    at once, takes about 2000 fresh page faults per parse and parses about
-    30 % slower than in 32 KiB chunks, which hold 1 MB and take no fault.
-    Smaller chunks lose again to the fixed cost of each chunk's numpy
-    calls: at 4 KiB the parse is back to its time in one chunk.
+    str.splitlines does and into tokens as str.split does; until the
+    'nodes:' line is found, the lines that hold a token go through
+    _parse_line one at a time.
 
     An ASCII chunk is read in bulk when it is plain: after the 'nodes:'
     line, every line is blank or holds four tokens, the third ':', two
     distinct declared vertices and a relation spelling met before.  No
     vertex name or spelling holds '#', so a plain chunk holds no comment.
-    One str.split of its text gives the tokens, four a line, one map over
-    the vertex index and one over the file's relation spellings resolve
-    them, and one scatter intersects them into the label matrix.
+    The tokens are resolved by their bytes, with no Python object made for
+    one: two exact hash tables (_ByteTable) map the names and the
+    spellings of up to 31 characters to vertex indices and relation codes.
+    The names table is built when the network is declared, and the
+    spellings table whenever the grammar has met a new spelling, so later
+    chunks that use it stay in bulk.  One scatter intersects the chunk's
+    declarations into the label matrix.
+
+    The chunk is small so that each one's arrays sit in memory the
+    allocator reuses from chunk to chunk; smaller chunks lose to the fixed
+    cost of each chunk's numpy calls.  A 600 KB dense-random file of 30 000
+    lines parses in about 6 ms, and a 21 MB file of 2000 vertices in about
+    0.3 s.
 
     Any other chunk (one with a non-ASCII character, an irregular line
-    after 'nodes:', or no 'nodes:' line yet) goes through _parse_line, the
-    grammar one line at a time, from its first line on and with the
-    network as it stood before the chunk.  So the first bad line raises,
-    and the ParseError, its message, token and line number, is the one a
-    loop over text.splitlines() would raise.  A chunk read this way is about
-    3x slower than in bulk, about 2 ms more for the 1650 lines of a 32 KiB
-    chunk of a dense-random file; only the chunk that needs it pays.
+    after 'nodes:', a name or spelling longer than 31 characters, or no
+    'nodes:' line yet) goes through _parse_line, the grammar one line at a
+    time, from its first line on and with the network as it stood before
+    the chunk.  So the first bad line raises, and the ParseError, its
+    message, token and line number, is the one a loop over
+    text.splitlines() would raise.  A chunk read this way is about 4 ms
+    slower than in bulk for the 1600 lines of a 32 KiB chunk of a
+    dense-random file; only the chunk that needs it pays.
 
     Each declaration, in bulk or by _parse_line, is written into its own
-    cell (i, j) only.  After the last chunk one pass intersects each cell
-    with the converse of its mirror, so a pair's two cells hold converse
-    labels that meet its declarations in either orientation.
+    cell (i, j) only.  After the last chunk _close_converse intersects each
+    cell with the converse of its mirror, so a pair's two cells hold
+    converse labels that meet its declarations in either orientation.
 
     Raises:
         ParseError: with a 1-based line number, on any malformed line,
@@ -297,6 +439,8 @@ def parse_network(text: str) -> ConstraintNetwork:
     # Relation spellings to codes: the canonical ones serialize_network
     # writes, and any other the file uses, parsed once.
     spellings = dict(_SPELLINGS)
+    spelled = _SPELLING_TABLE
+    names: _ByteTable | None = None
     lineno = 1  # number of the next chunk's first line
     pos = 0
     while pos < len(text):
@@ -306,44 +450,63 @@ def parse_network(text: str) -> ConstraintNetwork:
         first, before = lineno, net
         plain = chunk.isascii()
         if plain:
-            ends, counts = _scan_lines(chunk)
+            ends, counts, view, starts, lengths = _scan_lines(chunk)
             lineno += len(ends)
-            head = 0  # lines before head are done: those up to 'nodes:'
+            head = done = 0  # lines and tokens up to 'nodes:', which are done
             if net is None:
-                for k in map(int, np.flatnonzero(counts)):  # up to the first 'nodes:'
+                for k in map(int, counts.nonzero()[0]):  # up to the first 'nodes:'
                     line = chunk[(int(ends[k - 1]) + 1 if k else 0) : int(ends[k])]
                     net = _parse_line(line, first + k, None, spellings)
                     if net is not None:
-                        head = k + 1
+                        head, done = k + 1, int(starts.searchsorted(ends[k]))
                         break
             rest = counts[head:]
-            plain = net is not None and bool(((rest == 0) | (rest == 4)).all())
+            plain = net is not None and not np.count_nonzero(rest & ~4)  # 0 or 4 tokens
         if plain:
-            tokens = chunk[(int(ends[head - 1]) + 1 if head else 0) :].split()
-            n = len(tokens) // 4
-            us, vs, colons, rels = tokens[0::4], tokens[1::4], tokens[2::4], tokens[3::4]
-            try:
-                ij = np.fromiter(map(net._index.__getitem__, chain(us, vs)), np.intp, 2 * n)
-                codes = np.fromiter(map(spellings.__getitem__, rels), np.uint8, n)
-            except KeyError:  # an undeclared name, or a spelling not met before
-                plain = False
-            else:
-                i, j = ij[:n], ij[n:]
-                plain = colons.count(":") == n and not np.count_nonzero(i == j)
+            if names is None:
+                names = _ByteTable(net._index, np.intp)
+            begin = starts[done:].reshape(-1, 4)  # each line's four tokens
+            width = lengths[done:].reshape(-1, 4)
+            key0 = _token_keys(view, begin, width, 1)[0]  # their keys' first words
+            ij = names.get(key0[:, :2], view, begin[:, :2], width[:, :2])
+            codes = spelled.get(key0[:, 3], view, begin[:, 3], width[:, 3])
+            plain = (
+                ij is not None
+                and codes is not None
+                and not np.count_nonzero(key0[:, 2] != _COLON)
+                and not np.count_nonzero(ij[:, 0] == ij[:, 1])
+            )
         if not plain:
             lines = chunk.splitlines()
             lineno = first + len(lines)
             net = before
             for k, line in enumerate(lines, first):
                 net = _parse_line(line, k, net, spellings)
+            if len(spellings) > spelled.given:
+                spelled = _ByteTable(spellings, np.uint8)
             continue
-        np.bitwise_and.at(net._m.reshape(-1), i * len(net) + j, codes)
+        np.bitwise_and.at(net._m.reshape(-1), ij[:, 0] * len(net) + ij[:, 1], codes)
     if net is None:
         raise ParseError("no 'nodes:' line found")
-    # A converse swaps CGPP and CGPPi (bits 1 and 2).  Bit arithmetic needs a
-    # byte a cell; a take from _CONVERSE_ARR would page in eight a cell, slower.
-    net._m &= net._m.T & 9 | (net._m.T & 2) << 1 | net._m.T >> 1 & 2
+    _close_converse(net._m)
     return net
+
+
+def _close_converse(m: np.ndarray) -> None:
+    """AND each cell of the label matrix m with the converse of its mirror.
+
+    A converse swaps CGPP and CGPPi, bits 1 and 2: where they differ, both
+    flip.  Bit arithmetic needs a byte a cell; a take from _CONVERSE_ARR
+    would make an index of eight bytes a cell, slower.  The steps run in
+    place on one temporary: each fresh one may cost page faults.
+    """
+    t = m.T
+    converse = t >> 1
+    converse ^= t
+    converse &= 2  # bit 1: CGPP and CGPPi differ
+    converse *= 3
+    converse ^= t
+    m &= converse
 
 
 def _chunk_end(text: str, pos: int) -> int:
@@ -359,28 +522,37 @@ def _chunk_end(text: str, pos: int) -> int:
     return len(text) if cut < 0 else cut + 1
 
 
-def _scan_lines(chunk: str) -> tuple[np.ndarray, np.ndarray]:
-    """The lines of an ASCII chunk, split as by str.splitlines, in two arrays.
+def _scan_lines(
+    chunk: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The lines and tokens of an ASCII chunk, split as by str.splitlines
+    and str.split.
 
-    For each line: where it ends (the offset of its line break, or the
-    length of chunk), and how many tokens str.split finds in it.  Every
-    line break is one character, as parse_network has folded each CRLF
-    into '\\n'.
+    Returns (ends, counts, view, starts, lengths).  For each line: where
+    it ends (the offset of its line break, or the length of chunk), and how
+    many tokens it holds.  view holds the little-endian uint64 at each
+    byte offset of chunk, read on into _PAD, so that a key can be read at
+    any token (_token_keys).  For each token: its offset in chunk, and its
+    length.  Every line break is one character, as parse_network
+    has folded each CRLF into '\\n'.
     """
-    # The bytes of " " + chunk, so that a token begins at offset k of chunk
-    # wherever byte k is whitespace and byte k + 1 is not.
-    raw = b" " + chunk.encode("ascii")
+    raw = b" " + chunk.encode("ascii") + _PAD
     kind = np.frombuffer(raw.translate(_ASCII_CLASS), dtype=np.uint8)
     space = kind != 0
-    starts = (space[:-1] > space[1:]).nonzero()[0]
-    breaks = kind[1:] == _BREAK
+    # raw begins and ends in a space, so its edges alternate: a token begins
+    # at offset k of chunk where byte k of raw is a space and byte k + 1 is
+    # not, and ends before offset k where byte k is not a space and k + 1 is.
+    edges = (space[1:] != space[:-1]).nonzero()[0]
+    starts = edges[0::2]
+    breaks = kind[1 : len(chunk) + 1] == _BREAK
     ends = breaks.nonzero()[0]
     if not breaks[-1]:
         ends = np.append(ends, len(chunk))
     totals = starts.searchsorted(ends)
     counts = totals.copy()
     counts[1:] -= totals[:-1]
-    return ends, counts
+    view = np.ndarray((len(raw) - 8,), "<u8", raw, 1, (1,))
+    return ends, counts, view, starts, edges[1::2] - starts
 
 
 def _parse_line(

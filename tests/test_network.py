@@ -880,6 +880,146 @@ def test_chunks_end_at_a_lone_cr_and_never_inside_a_crlf(monkeypatch, chunk, eol
     assert exc.value.line == len(lines) + 1
 
 
+def _table_lookup(table, tokens):
+    """table.get on the tokens, handed to it as parse_network does: scanned
+    in one chunk of their own, one token a line."""
+    _, _, view, starts, lengths = network._scan_lines("\n".join(tokens))
+    assert len(starts) == len(tokens)
+    key0 = network._token_keys(view, starts, lengths, 1)[0]
+    return table.get(key0, view, starts, lengths)
+
+
+# Bytes a vertex name may hold in a chunk read in bulk: ASCII but neither
+# whitespace nor ':' nor '#'.
+_NAME_BYTES = "".join(
+    c for c in map(chr, range(128)) if not c.isspace() and c not in ":#"
+)
+
+
+def _random_name(rng, size):
+    return "".join(rng.choice(_NAME_BYTES) for _ in range(size))
+
+
+@pytest.mark.parametrize("n_keys", [9, 3000], ids=["one-a-length", "colliding"])
+def test_byte_table_finds_its_keys_and_nothing_else(n_keys):
+    """Keys of 1 to 31 bytes across word boundaries are found with their
+    values; a key with a NUL behind it, a key's prefix, a 32-byte token and
+    random non-keys are not, in a table small or large enough that keys
+    share home slots."""
+    rng = random.Random(n_keys)
+    sizes = [1, 7, 8, 9, 15, 16, 23, 24, 31]
+    keys = {}
+    while len(keys) < n_keys:
+        size = sizes[len(keys)] if len(keys) < len(sizes) else rng.randrange(1, 32)
+        keys.setdefault(_random_name(rng, size), len(keys))
+    table = network._ByteTable(keys, np.intp)
+    assert table.words == 4
+    if n_keys > len(sizes):
+        found = network._token_keys(*network._scan_lines(" ".join(keys))[2:], table.words)
+        home = table._hash(found) >> table.shift
+        assert len(np.unique(home)) < len(keys)  # keys share home slots
+    got = _table_lookup(table, list(keys))
+    assert got is not None and got.tolist() == list(keys.values())
+    assert _table_lookup(table, list(reversed(keys))).tolist() == list(reversed(keys.values()))
+    strangers = [k + "\0" for k in keys] + [k[:-1] for k in keys if len(k) > 1]
+    strangers += [_random_name(rng, 32), next(iter(keys)) * 32]
+    seeded = random.Random(7)
+    while len(strangers) < 10_000 + 2 * len(keys):
+        strangers.append(_random_name(seeded, seeded.randrange(1, 40)))
+    strangers = [s for s in strangers if s not in keys]
+    assert len(strangers) > 10_000
+    assert [s for s in strangers if _table_lookup(table, [s]) is not None] == []
+    # One stranger among keys makes the whole lookup fail.
+    for s in strangers[:: len(strangers) // 50]:
+        assert _table_lookup(table, [*keys, s]) is None
+
+
+def byte_corpus_text(seed):
+    """A seeded ASCII text whose names stress the bulk read's byte keys:
+    1 to 40 bytes long, across word boundaries, with NUL bytes, or spelled
+    as relations; with undeclared tokens one byte off a name here and there.
+    One text in ten is long enough for several default chunks."""
+    rng = random.Random(seed)
+    pool = ["CG", "ALL", "cg", "NONE", "CG|CNO", "x", "x\0", "\0"]
+    while len(pool) < 14:
+        name = _random_name(rng, rng.choice((1, 7, 8, 9, 15, 16, 17, 23, 24, 31, 32, 33, 40)))
+        if rng.random() < 0.2:
+            k = rng.randrange(len(name) + 1)
+            name = name[:k] + "\0" + name[k:]
+        pool.append(name)
+    names = list(dict.fromkeys(rng.sample(pool, rng.randrange(2, len(pool) + 1))))
+    long_ok = rng.random() < 0.5  # else no name of 32 bytes or more is used
+    usable = [n for n in names if long_ok or len(n) < 32] or names[:1]
+    spellings = [format_relation(Relation(c)) for c in range(1, 16)]
+    lines = ["nodes: " + " ".join(names)]
+    for _ in range(rng.randrange(1, 4000 if seed % 10 == 0 else 400)):
+        u, v = rng.choice(usable), rng.choice(usable)
+        r = rng.choice(spellings)
+        if rng.random() < 0.05:
+            r = r.lower()
+        roll = rng.random()
+        if roll < 0.01:
+            u = u + "\0"
+        elif roll < 0.02 and len(v) > 1:
+            v = v[:-1]
+        elif roll < 0.03:
+            u = "CG"
+        if u == v and not Relation(parse_relation(r)) & CG:
+            r = "CG|" + r
+        lines.append(f"{u} {v} : {r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [network._CHUNK, 40], ids=["chunk-default", "chunk-40"])
+def test_parse_matches_the_line_loop_on_byte_keyed_names(monkeypatch, chunk):
+    monkeypatch.setattr(network, "_CHUNK", chunk)
+    outcomes = set()
+    for seed in range(300):
+        text = byte_corpus_text(seed)
+        want = _outcome(reference_parse_network, text)
+        assert _outcome(parse_network, text) == want, seed
+        outcomes.add("valid" if len(want) == 2 else "undeclared" in want[0])
+    assert outcomes == {"valid", True}
+
+
+@pytest.mark.parametrize("longest", [31, 32])
+def test_names_of_up_to_31_bytes_are_read_in_bulk(monkeypatch, longest):
+    """A chunk is read in bulk when every name it uses has at most 31
+    bytes; one that uses a longer name goes through the grammar."""
+    calls = []  # the line numbers handed to _parse_line, in call order
+    parse_line = network._parse_line
+
+    def counted(raw, lineno, net, spellings):
+        calls.append(lineno)
+        return parse_line(raw, lineno, net, spellings)
+
+    monkeypatch.setattr(network, "_parse_line", counted)
+    n = 100
+    net = random_network(n, 0.9, M99_PALETTE, rng=3)
+    # The last vertex, named in every chunk, gets a name of `longest` bytes;
+    # the others get names of 1 to 31 bytes.
+    sizes = [1 + k % 31 for k in range(n - 1)] + [longest]
+    rename = {f"v{k}": f"v{k}".ljust(size, "_") for k, size in enumerate(sizes)}
+    lines = [
+        " ".join(rename.get(t, t) for t in line.split(" "))
+        for line in serialize_network(net).splitlines()
+    ]
+    text = "\n".join(lines) + "\n"
+    got = parse_network(text)
+    assert got.names == tuple(rename.values())
+    assert np.array_equal(got.to_array(), net.to_array())
+    firsts = _chunk_first_lines(text)
+    assert len(firsts) > 3
+    # The header search reads line 1; then each chunk that uses the long
+    # name goes through the grammar from its first line on.
+    want = [1]
+    for a, b in zip(firsts, [*firsts[1:], len(lines) + 1]):
+        if any(len(max(lines[k - 1].split()[:2], key=len)) > 31 for k in range(max(a, 2), b)):
+            want += range(a, b)
+    assert want == ([1] if longest <= 31 else [1, *range(1, len(lines) + 1)])
+    assert calls == want
+
+
 def test_serialize_omits_all_and_round_trips():
     net = chain_network()
     text = serialize_network(net)
