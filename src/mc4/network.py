@@ -21,10 +21,11 @@ nothing); the parser rejects self-loops without CG, while the programmatic
 ``add_constraint`` intersects the diagonal cell like any other, leaving
 NONE there.  Every contradiction is thus a NONE label in the matrix.
 
-``parse_network`` reads the text a chunk of lines at a time, in bulk when
-the chunk is ASCII and every line of it is blank or plain (four tokens
-``NAME NAME : RELATION``, two distinct declared vertices, a known
-spelling, no comment) and otherwise by the grammar, one line at a time.
+``parse_network`` reads the lines up to ``nodes:`` one at a time, then
+the rest a chunk of lines at a time: in bulk when the chunk is ASCII and
+every line of it is blank or plain (four tokens ``NAME NAME : RELATION``,
+two distinct declared vertices, a known spelling, no comment) and
+otherwise by the grammar, one line at a time.
 The bulk read resolves names and spellings of up to 31 bytes by their
 bytes, in hash tables, and makes no Python object per token.  Its errors,
 their messages, tokens and line numbers are those of a line-by-line
@@ -322,21 +323,15 @@ class _ByteTable:
         h = self._hash(found)
         h >>= self.shift
         at = h.view(np.intp)  # the top bit is clear
+        order = at.argsort(kind="stable")
+        k = np.arange(len(at))
+        at[order] = np.maximum.accumulate(at.take(order) - k) + k
         # Room for every key to sit past the last home slot, and one empty.
-        self.keys = [np.empty((1 << bits) + len(at) + 1, np.uint64) for _ in found]
-        self._place(at, found)
-        if np.count_nonzero(self._differ(at, found)):  # keys share home slots
-            order = at.argsort(kind="stable")
-            k = np.arange(len(at))
-            at[order] = np.maximum.accumulate(at.take(order) - k) + k
-            self._place(at, found)
+        self.keys = [np.full((1 << bits) + len(at) + 1, _EMPTY, np.uint64) for _ in found]
+        for table, word in zip(self.keys, found):
+            table[at] = word
         self.values = np.empty(len(self.keys[0]), dtype)  # read at keys only
         self.values[at] = values
-
-    def _place(self, at: np.ndarray, found: list[np.ndarray]) -> None:
-        for table, word in zip(self.keys, found):
-            table.fill(_EMPTY)
-            table[at] = word
 
     def _hash(self, keys: list[np.ndarray]) -> np.ndarray:
         h = keys[0] * _HASH_MUL
@@ -387,25 +382,26 @@ def parse_network(text: str) -> ConstraintNetwork:
     Each CRLF and each lone carriage return in the text is first made a
     '\\n': str.splitlines takes each of them as one line break, so the
     lines, their tokens and their numbers stay those of the text as given.
-    A CRLF file pays for this copy, about 5 % of its parse.
+    A CRLF file pays for this copy: it parses about a third slower.
 
-    The text is read in chunks of whole lines (_chunk_end).  An ASCII chunk
-    is scanned once as bytes (_scan_lines), which splits it into lines as
-    str.splitlines does and into tokens as str.split does; until the
-    'nodes:' line is found, the lines that hold a token go through
-    _parse_line one at a time.
+    _parse_header reads the lines up to 'nodes:' once, one at a time.  The
+    names table is built from the network it declares, and the rest of the
+    text is read in chunks of whole lines (_chunk_end) that begin after
+    that line.  An ASCII chunk is scanned once as bytes (_scan_lines),
+    which splits it into lines as str.splitlines does and into tokens as
+    str.split does.
 
-    An ASCII chunk is read in bulk when it is plain: after the 'nodes:'
-    line, every line is blank or holds four tokens, the third ':', two
-    distinct declared vertices and a relation spelling met before.  No
-    vertex name or spelling holds '#', so a plain chunk holds no comment.
-    The tokens are resolved by their bytes, with no Python object made for
-    one: two exact hash tables (_ByteTable) map the names and the
-    spellings of up to 31 characters to vertex indices and relation codes.
-    The names table is built when the network is declared, and the
-    spellings table whenever the grammar has met a new spelling, so later
-    chunks that use it stay in bulk.  One scatter intersects the chunk's
-    declarations into the label matrix.
+    An ASCII chunk is read in bulk when it is plain: every line is blank or
+    holds four tokens, the third ':', two distinct declared vertices and a
+    relation spelling met before.  No vertex name or spelling holds '#', so
+    a plain chunk holds no comment.  The tokens are resolved by their
+    bytes, with no Python object made for one: two exact hash tables
+    (_ByteTable) map the names and the spellings of up to 31 characters to
+    vertex indices and relation codes.  The spellings table is rebuilt
+    whenever the grammar has met a new spelling, so later chunks that use
+    it stay in bulk.  Nothing is written until the whole chunk is found
+    plain; then one scatter intersects its declarations into the label
+    matrix.
 
     The chunk is small so that each one's arrays sit in memory the
     allocator reuses from chunk to chunk; smaller chunks lose to the fixed
@@ -413,15 +409,13 @@ def parse_network(text: str) -> ConstraintNetwork:
     lines parses in about 6 ms, and a 21 MB file of 2000 vertices in about
     0.3 s.
 
-    Any other chunk (one with a non-ASCII character, an irregular line
-    after 'nodes:', a name or spelling longer than 31 characters, or no
-    'nodes:' line yet) goes through _parse_line, the grammar one line at a
-    time, from its first line on and with the network as it stood before
-    the chunk.  So the first bad line raises, and the ParseError, its
-    message, token and line number, is the one a loop over
-    text.splitlines() would raise.  A chunk read this way is about 4 ms
-    slower than in bulk for the 1600 lines of a 32 KiB chunk of a
-    dense-random file; only the chunk that needs it pays.
+    Any other chunk (one with a non-ASCII character, an irregular line, or
+    a name or spelling longer than 31 characters) goes through _parse_line,
+    the grammar one line at a time, from its first line on.  So the first
+    bad line raises, and the ParseError, its message, token and line
+    number, is the one a loop over text.splitlines() would raise.  A chunk
+    read this way is about 4 ms slower than in bulk for the 1600 lines of a
+    32 KiB chunk of a dense-random file; only the chunk that needs it pays.
 
     Each declaration, in bulk or by _parse_line, is written into its own
     cell (i, j) only.  After the last chunk _close_converse intersects each
@@ -435,38 +429,23 @@ def parse_network(text: str) -> ConstraintNetwork:
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    net: ConstraintNetwork | None = None
+    net, pos, lineno = _parse_header(text)  # lineno: the next chunk's first line
+    names = _ByteTable(net._index, np.intp)
     # Relation spellings to codes: the canonical ones serialize_network
     # writes, and any other the file uses, parsed once.
     spellings = dict(_SPELLINGS)
     spelled = _SPELLING_TABLE
-    names: _ByteTable | None = None
-    lineno = 1  # number of the next chunk's first line
-    pos = 0
     while pos < len(text):
         end = _chunk_end(text, pos)
         chunk = text[pos:end]
         pos = end
-        first, before = lineno, net
         plain = chunk.isascii()
         if plain:
             ends, counts, view, starts, lengths = _scan_lines(chunk)
-            lineno += len(ends)
-            head = done = 0  # lines and tokens up to 'nodes:', which are done
-            if net is None:
-                for k in map(int, counts.nonzero()[0]):  # up to the first 'nodes:'
-                    line = chunk[(int(ends[k - 1]) + 1 if k else 0) : int(ends[k])]
-                    net = _parse_line(line, first + k, None, spellings)
-                    if net is not None:
-                        head, done = k + 1, int(starts.searchsorted(ends[k]))
-                        break
-            rest = counts[head:]
-            plain = net is not None and not np.count_nonzero(rest & ~4)  # 0 or 4 tokens
+            plain = not np.count_nonzero(counts & ~4)  # 0 or 4 tokens a line
         if plain:
-            if names is None:
-                names = _ByteTable(net._index, np.intp)
-            begin = starts[done:].reshape(-1, 4)  # each line's four tokens
-            width = lengths[done:].reshape(-1, 4)
+            begin = starts.reshape(-1, 4)  # each line's four tokens
+            width = lengths.reshape(-1, 4)
             key0 = _token_keys(view, begin, width, 1)[0]  # their keys' first words
             ij = names.get(key0[:, :2], view, begin[:, :2], width[:, :2])
             codes = spelled.get(key0[:, 3], view, begin[:, 3], width[:, 3])
@@ -476,20 +455,53 @@ def parse_network(text: str) -> ConstraintNetwork:
                 and not np.count_nonzero(key0[:, 2] != _COLON)
                 and not np.count_nonzero(ij[:, 0] == ij[:, 1])
             )
-        if not plain:
-            lines = chunk.splitlines()
-            lineno = first + len(lines)
-            net = before
-            for k, line in enumerate(lines, first):
-                net = _parse_line(line, k, net, spellings)
-            if len(spellings) > spelled.given:
-                spelled = _ByteTable(spellings, np.uint8)
+        if plain:
+            np.bitwise_and.at(net._m.reshape(-1), ij[:, 0] * len(net) + ij[:, 1], codes)
+            lineno += len(ends)
             continue
-        np.bitwise_and.at(net._m.reshape(-1), ij[:, 0] * len(net) + ij[:, 1], codes)
-    if net is None:
-        raise ParseError("no 'nodes:' line found")
+        lines = chunk.splitlines()
+        for k, line in enumerate(lines, lineno):
+            _parse_line(line, k, net, spellings)
+        lineno += len(lines)
+        if len(spellings) > spelled.given:
+            spelled = _ByteTable(spellings, np.uint8)
     _close_converse(net._m)
     return net
+
+
+def _parse_header(text: str) -> tuple[ConstraintNetwork, int, int]:
+    """Read text up to its first non-blank line, which must be 'nodes:'.
+
+    Returns (net, pos, lineno): the network that line declares, the offset
+    just past it and the number of the next line.  Each '\\n'-line is split
+    by str.splitlines, so every line break it knows ends a line here too.
+
+    Raises:
+        ParseError: for every error of the lines up to 'nodes:'.
+    """
+    pos, lineno = 0, 1
+    while pos < len(text):
+        end = text.find("\n", pos) + 1 or len(text)
+        for raw in text[pos:end].splitlines(keepends=True):
+            pos += len(raw)
+            line = raw.partition("#")[0].strip()
+            if not line:
+                lineno += 1
+                continue
+            if line[:6].lower() != "nodes:":
+                raise ParseError("expected a 'nodes:' line before constraints", line=lineno)
+            names = line[6:].split()
+            if not names:
+                raise ParseError("'nodes:' line declares no vertices", line=lineno)
+            for name in names:
+                if ":" in name:
+                    raise ParseError(
+                        f"vertex name {name!r} may not contain ':'", token=name, line=lineno
+                    )
+            if len(set(names)) != len(names):
+                raise ParseError("duplicate vertex name", line=lineno)
+            return ConstraintNetwork(names), pos, lineno + 1
+    raise ParseError("no 'nodes:' line found")
 
 
 def _close_converse(m: np.ndarray) -> None:
@@ -556,38 +568,20 @@ def _scan_lines(
 
 
 def _parse_line(
-    raw: str,
-    lineno: int,
-    net: ConstraintNetwork | None,
-    spellings: dict[str, int],
-) -> ConstraintNetwork | None:
-    """Parse one line of the text format by its whole grammar.
+    raw: str, lineno: int, net: ConstraintNetwork, spellings: dict[str, int]
+) -> None:
+    """Parse one line after the 'nodes:' line by the whole grammar.
 
-    Before the 'nodes:' line (net None), the first non-blank line must be
-    it, and the network it declares is returned.  After it, a constraint
-    line 'u v : R' is intersected into the cell (u, v) of net, which is
-    returned; parse_network closes the converse cells after its last chunk.
+    A constraint line 'u v : R' is intersected into the cell (u, v) of net;
+    a blank or comment line says nothing.  parse_network closes the
+    converse cells after its last chunk.
 
     Raises:
-        ParseError: at lineno, for every error parse_network reports.
+        ParseError: at lineno, for every error of a constraint line.
     """
     line = raw.partition("#")[0].strip()
     if not line:
-        return net
-    if net is None:
-        if line[:6].lower() != "nodes:":
-            raise ParseError("expected a 'nodes:' line before constraints", line=lineno)
-        names = line[6:].split()
-        if not names:
-            raise ParseError("'nodes:' line declares no vertices", line=lineno)
-        for name in names:
-            if ":" in name:
-                raise ParseError(
-                    f"vertex name {name!r} may not contain ':'", token=name, line=lineno
-                )
-        if len(set(names)) != len(names):
-            raise ParseError("duplicate vertex name", line=lineno)
-        return ConstraintNetwork(names)
+        return
     left, colon, right = line.partition(":")
     if not colon:
         raise ParseError("expected 'NAME NAME : RELATION'", line=lineno)
@@ -615,7 +609,6 @@ def _parse_line(
             f"self-loop on {u!r} excludes CG and is unsatisfiable", token=u, line=lineno
         )
     net._m[i, j] &= code
-    return net
 
 
 def serialize_network(net: ConstraintNetwork) -> str:

@@ -745,8 +745,11 @@ def test_parse_matches_the_line_loop_on_a_seeded_corpus(monkeypatch, chunk):
 
 
 def _chunk_first_lines(text):
-    """Number of the first line of each chunk parse_network reads text in."""
-    firsts, pos, lineno = [], 0, 1
+    """Number of the first line of each chunk parse_network reads text in;
+    the first chunk begins after the 'nodes:' line."""
+    lines = text.splitlines(keepends=True)
+    nodes = next(k for k, line in enumerate(lines) if line.startswith("nodes:"))
+    firsts, pos, lineno = [], len("".join(lines[: nodes + 1])), nodes + 2
     while pos < len(text):
         end = network._chunk_end(text, pos)
         firsts.append(lineno)
@@ -789,7 +792,7 @@ def _with_irregular_line(lines, edit):
         (1 << 16, "", None, 13),
         (1 << 16, "", "end # end", 13),
         (1 << 16, "", "end # r\u00e9gion", 13),
-        (1 << 16, _PREAMBLE, None, 14),
+        (1 << 16, _PREAMBLE, None, 13),
     ],
     ids=[
         "plain-chunk-default",
@@ -824,12 +827,11 @@ def test_only_a_chunk_with_an_irregular_line_goes_through_the_grammar(
     assert np.array_equal(got.to_array(), net.to_array())
     want = reference_parse_network(text)
     assert got.names == want.names and np.array_equal(got.to_array(), want.to_array())
-    # Each chunk before the one holding 'nodes:' twice, by the header search
-    # and then by the grammar; then the lines up to 'nodes:'; then every
-    # line of the chunk that holds the irregular line, and no later one.
+    # No line up to 'nodes:' reaches the grammar, and every line of the
+    # chunk that holds the irregular line does, once, and no other line.
     nodes = head.count("\n") + 1
-    before = [f for f in firsts if f <= nodes]
-    preamble = [k for a, b in zip(before, before[1:]) for k in [*range(a, b)] * 2]
+    assert firsts[0] == nodes + 1
+    assert not [k for k in calls if k <= nodes]
     grammar = ()
     if edit:
         c = max(k for k, f in enumerate(firsts) if f <= bad)
@@ -837,7 +839,7 @@ def test_only_a_chunk_with_an_irregular_line_goes_through_the_grammar(
         grammar = range(firsts[c], [*firsts, len(lines) + 1][c + 1])
     if edit == "mid-lower":  # the last chunk holds the spelling the grammar met
         assert " : c" in "\n".join(lines[firsts[-1] - 1 :])  # canonical ones begin 'C'
-    assert calls == [*preamble, *range(before[-1], nodes + 1), *grammar]
+    assert calls == [*grammar]
 
 
 def _join_lines(lines, eols):
@@ -1010,13 +1012,13 @@ def test_names_of_up_to_31_bytes_are_read_in_bulk(monkeypatch, longest):
     assert np.array_equal(got.to_array(), net.to_array())
     firsts = _chunk_first_lines(text)
     assert len(firsts) > 3
-    # The header search reads line 1; then each chunk that uses the long
-    # name goes through the grammar from its first line on.
-    want = [1]
+    # Each chunk that uses the long name goes through the grammar from its
+    # first line on; the 'nodes:' line never does.
+    want = []
     for a, b in zip(firsts, [*firsts[1:], len(lines) + 1]):
-        if any(len(max(lines[k - 1].split()[:2], key=len)) > 31 for k in range(max(a, 2), b)):
+        if any(len(max(lines[k - 1].split()[:2], key=len)) > 31 for k in range(a, b)):
             want += range(a, b)
-    assert want == ([1] if longest <= 31 else [1, *range(1, len(lines) + 1)])
+    assert want == ([] if longest <= 31 else [*range(2, len(lines) + 1)])
     assert calls == want
 
 
