@@ -141,13 +141,7 @@ def cardinality(r: Relation) -> int:
 # ---------------------------------------------------------------------------
 
 _TOKENS = ("CG", "CGPP", "CGPPi", "CNO")
-_TOKEN_CODES = {
-    "cg": 1,
-    "cgpp": 2,
-    "cgppi": 4,
-    "cgpp-1": 4,
-    "cno": 8,
-}
+_TOKEN_CODES = {t.lower(): 1 << k for k, t in enumerate(_TOKENS)} | {"cgpp-1": int(_CGPPI)}
 
 
 class ParseError(ValueError):
@@ -192,14 +186,19 @@ def parse_relation(text: str) -> Relation:
     return _RELATIONS[code]
 
 
-def format_relation(r: Relation) -> str:
-    """Canonical token form: NONE, ALL, or |-joined tokens in base-case order."""
-    code = int(r)
+def _format_mask(code: int, tokens: tuple[str, ...]) -> str:
+    """NONE for 0, ALL when every token's bit is set, else the set tokens
+    |-joined, lowest bit first."""
     if code == 0:
         return "NONE"
-    if code == 15:
+    if code == (1 << len(tokens)) - 1:
         return "ALL"
-    return "|".join(_TOKENS[k] for k in range(4) if code >> k & 1)
+    return "|".join(t for k, t in enumerate(tokens) if code >> k & 1)
+
+
+def format_relation(r: Relation) -> str:
+    """Canonical token form: NONE, ALL, or |-joined tokens in base-case order."""
+    return _format_mask(int(r), _TOKENS)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +253,7 @@ class RelationSet:
     def __le__(self, other: "RelationSet") -> bool:
         return self.mask & ~other.mask == 0
 
-    def issubset(self, other: "RelationSet") -> bool:
-        return self <= other
+    issubset = __le__
 
     def __repr__(self) -> str:
         inner = ", ".join(format_relation(r) for r in self)

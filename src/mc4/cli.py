@@ -27,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import (
+    BASIC_RELATIONS,
     EMPTY,
     UNIVERSAL,
-    ParseError,
     Relation,
     RelationSet,
     compose,
@@ -39,7 +39,6 @@ from .algebra import (
 from .network import _FORMAT, ConstraintNetwork, parse_network, random_network, serialize_network
 from .rcc5 import Rcc5, convert_scenario, envelope, format_rcc5, lift, to_rcc5
 from .solvers import (
-    ProfileError,
     Scenario,
     SolveOutcome,
     solve,
@@ -258,12 +257,11 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     if args.table:
         if args.left is not None:
             raise ValueError("compose takes two relations or --table, not both")
-        basics = (Relation.CG, Relation.CGPP, Relation.CGPPI, Relation.CNO)
         width = 16
-        header = " " * 8 + "".join(f"{format_relation(b):<{width}}" for b in basics)
+        header = " " * 8 + "".join(f"{format_relation(b):<{width}}" for b in BASIC_RELATIONS)
         print(header)
-        for r in basics:
-            row = "".join(f"{format_relation(compose(r, s)):<{width}}" for s in basics)
+        for r in BASIC_RELATIONS:
+            row = "".join(f"{format_relation(compose(r, s)):<{width}}" for s in BASIC_RELATIONS)
             print(f"{format_relation(r):<8}{row}")
         return 0
     if args.left is None or args.right is None:
@@ -501,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ProfileError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

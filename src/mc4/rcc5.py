@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 
-from .algebra import _RELATIONS, EMPTY, UNIVERSAL, Relation, basics
+from .algebra import _RELATIONS, EMPTY, UNIVERSAL, Relation, _format_mask
 from .solvers import Scenario
 
 
@@ -65,12 +65,19 @@ _LIFT = {
 }
 
 
+def _union(table: dict, bases: enum.IntFlag, empty: enum.IntFlag) -> enum.IntFlag:
+    """Union of table[b] over the base cases b in bases: to_rcc5, envelope and
+    lift distribute over union, so each is fixed by its table of base cases."""
+    out = empty
+    for b, image in table.items():
+        if b & bases:
+            out |= image
+    return out
+
+
 def to_rcc5(r: Relation) -> Rcc5:
     """RCC-5 image of r under witnessing placements, base case by base case."""
-    out = RCC5_EMPTY
-    for b in basics(r):
-        out |= _TO_RCC5[b]
-    return out
+    return _union(_TO_RCC5, r, RCC5_EMPTY)
 
 
 # int(to_rcc5(r)) by MC-4 code, so a scenario converts with one lookup per pair.
@@ -79,10 +86,7 @@ _RCC5_CODE = tuple(int(to_rcc5(r)) for r in _RELATIONS)
 
 def envelope(r: Relation) -> Rcc5:
     """Every RCC-5 relation realizable by some placement respecting r."""
-    out = RCC5_EMPTY
-    for b in basics(r):
-        out |= _ENVELOPE[b]
-    return out
+    return _union(_ENVELOPE, r, RCC5_EMPTY)
 
 
 def lift(s: Rcc5) -> Relation:
@@ -92,21 +96,12 @@ def lift(s: Rcc5) -> Relation:
     statement lifts to the weakest congruence constraint any disjunct
     allows; the empty statement lifts to NONE.
     """
-    out = EMPTY
-    for b in RCC5_BASIC_RELATIONS:
-        if b & s:
-            out |= _LIFT[b]
-    return out
+    return _union(_LIFT, s, EMPTY)
 
 
 def format_rcc5(s: Rcc5) -> str:
     """Canonical token form: NONE, ALL, or |-joined base tokens."""
-    code = int(s)
-    if code == 0:
-        return "NONE"
-    if code == 31:
-        return "ALL"
-    return "|".join(_RCC5_TOKENS[k] for k in range(5) if code >> k & 1)
+    return _format_mask(int(s), _RCC5_TOKENS)
 
 
 def convert_scenario(scenario: Scenario) -> Scenario:

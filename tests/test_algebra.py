@@ -1,5 +1,7 @@
 """Relation arithmetic: tables, laws, parsing, relation sets."""
 
+from itertools import combinations
+
 import pytest
 
 from mc4.algebra import (
@@ -210,6 +212,15 @@ def test_format_canonical_order():
     assert format_relation(CGPPI | CGPP) == "CGPP|CGPPi"
     assert format_relation(EMPTY) == "NONE"
     assert format_relation(UNIVERSAL) == "ALL"
+    # Every code: its tokens in base-case order, built from each subset of bits.
+    tokens = ("CG", "CGPP", "CGPPi", "CNO")
+    want = {
+        sum(1 << k for k in ks): "|".join(tokens[k] for k in ks)
+        for n in range(1, 4)
+        for ks in combinations(range(4), n)
+    }
+    want[0], want[15] = "NONE", "ALL"
+    assert [format_relation(r) for r in ALL_RELATIONS] == [want[c] for c in range(16)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from mc4.algebra import EMPTY, UNIVERSAL, Relation
 from mc4.cli import _CATALOGS, _parse_palette, main
 from mc4.network import parse_network, random_network, serialize_network
-from mc4.subalgebra import Kind, classify
+from mc4.subalgebra import Kind, classify, enumerate_expressive
 
 CONSISTENT_TEXT = "nodes: a b c\na b : CG|CGPP\nb c : CNO\n"
 INCONSISTENT_TEXT = "nodes: a b c\na b : CGPP\nb c : CG|CGPP\nc a : CG|CGPP\n"
@@ -310,6 +310,19 @@ def test_enumerate_cross_check_json(capsys):
     assert payload["total"] == 102
 
 
+def test_enumerate_cross_check_reports_disagreement(capsys, monkeypatch):
+    direct = enumerate_expressive()
+    monkeypatch.setattr("mc4.cli.enumerate_expressive_by_closure", lambda: direct[1:])
+    code, out, err = run(capsys, "enumerate", "--cross-check")
+    assert code == 1
+    assert err == "enumeration routes disagree\n"
+    assert out == "cross-check: 102 by stability scan, 101 by closure fixpoints, DISAGREE\n"
+    code, out, err = run(capsys, "enumerate", "--cross-check", "--json")
+    assert code == 1
+    assert err == "enumeration routes disagree\n"
+    assert out == ""
+
+
 def test_enumerate_json_counts(capsys):
     code, out, _ = run(capsys, "enumerate", "--json")
     payload = json.loads(out)
@@ -371,6 +384,10 @@ def test_convert_rejects_a_file_with_a_relation(capsys, net_file):
     assert code == 2
     assert out == ""
     assert err == "error: convert takes a network file or --relation, not both\n"
+    code, out, err = run(capsys, "convert")
+    assert code == 2
+    assert out == ""
+    assert err == "error: convert needs a network file or --relation\n"
 
 
 @pytest.mark.parametrize("name", sorted(_CATALOGS))

@@ -1,5 +1,7 @@
 """Bridge between congruence relations and RCC-5 parthood relations."""
 
+from itertools import combinations
+
 from mc4.algebra import EMPTY, UNIVERSAL, Relation, basics
 from mc4.network import ConstraintNetwork
 from mc4.rcc5 import (
@@ -53,6 +55,13 @@ def test_maps_extend_to_unions_pointwise():
             want_env |= envelope(b)
         assert to_rcc5(r) == want_img
         assert envelope(r) == want_env
+    for code in range(32):
+        s = Rcc5(code)
+        want_lift = EMPTY
+        for b in RCC5_BASIC_RELATIONS:
+            if b & s:
+                want_lift |= lift(b)
+        assert lift(s) == want_lift
     assert to_rcc5(EMPTY) == RCC5_EMPTY
     assert lift(RCC5_EMPTY) == EMPTY
     assert lift(RCC5_ALL) == UNIVERSAL
@@ -76,6 +85,15 @@ def test_format_rcc5():
     assert format_rcc5(RCC5_ALL) == "ALL"
     assert format_rcc5(Rcc5.PP | Rcc5.EQ) == "EQ|PP"
     assert format_rcc5(Rcc5.DR | Rcc5.PO) == "PO|DR"
+    # Every mask: its tokens in base-case order, built from each subset of bits.
+    tokens = ("EQ", "PP", "PPi", "PO", "DR")
+    want = {
+        sum(1 << k for k in ks): "|".join(tokens[k] for k in ks)
+        for n in range(1, 5)
+        for ks in combinations(range(5), n)
+    }
+    want[0], want[31] = "NONE", "ALL"
+    assert [format_rcc5(Rcc5(c)) for c in range(32)] == [want[c] for c in range(32)]
 
 
 def test_convert_scenario_maps_codes_pairwise():
