@@ -144,7 +144,7 @@ class ConstraintNetwork:
 
 def _upper_triangle(n: int) -> np.ndarray:
     """Boolean n-by-n mask of the pairs (i, j) with i < j."""
-    k = np.arange(n)
+    k = np.arange(n, dtype=np.min_scalar_type(n))  # narrow indices compare faster
     return k[:, None] < k
 
 
@@ -241,8 +241,10 @@ _ASCII_CLASS = bytes(
 # Characters scanned at once, at least: a chunk runs on to the end of the
 # line it reaches _CHUNK in.  Few enough that a chunk's arrays sit in memory
 # reused from chunk to chunk, not in fresh pages; enough that each chunk's
-# fixed numpy calls are a small part of its time.
-_CHUNK = 1 << 15
+# fixed numpy calls are a small part of its time.  In end-to-end runs of
+# `mc4 solve` on 2 vCPUs, 64 KiB beat 32 KiB on dense 350-vertex files and
+# 128 KiB on 200-vertex planted ones.
+_CHUNK = 1 << 16
 
 # A token is looked up as a key of a few little-endian uint64 words: its
 # bytes, then 0xFF bytes.  A bulk chunk is ASCII, so a token holds no 0xFF
@@ -400,22 +402,25 @@ def parse_network(text: str) -> ConstraintNetwork:
     vertex indices and relation codes.  The spellings table is rebuilt
     whenever the grammar has met a new spelling, so later chunks that use
     it stay in bulk.  Nothing is written until the whole chunk is found
-    plain; then one scatter intersects its declarations into the label
-    matrix.
+    plain; then one gather and one scatter intersect its declarations into
+    the label matrix.  Only a chunk that declares a pair twice, with labels
+    that differ, has its cells intersected again one declaration at a time
+    (np.bitwise_and.at).
 
     The chunk is small so that each one's arrays sit in memory the
     allocator reuses from chunk to chunk; smaller chunks lose to the fixed
     cost of each chunk's numpy calls.  A 600 KB dense-random file of 30 000
-    lines parses in about 6 ms, and a 21 MB file of 2000 vertices in about
-    0.3 s.
+    lines parses in about 4.5 ms, and a 21 MB file of 2000 vertices in
+    about 0.2 s.
 
     Any other chunk (one with a non-ASCII character, an irregular line, or
     a name or spelling longer than 31 characters) goes through _parse_line,
     the grammar one line at a time, from its first line on.  So the first
     bad line raises, and the ParseError, its message, token and line
     number, is the one a loop over text.splitlines() would raise.  A chunk
-    read this way is about 4 ms slower than in bulk for the 1600 lines of a
-    32 KiB chunk of a dense-random file; only the chunk that needs it pays.
+    read this way is about 3.5 ms slower than in bulk for the 3300 lines of
+    a 64 KiB chunk of a dense-random file; only the chunk that needs it
+    pays.
 
     Each declaration, in bulk or by _parse_line, is written into its own
     cell (i, j) only.  After the last chunk _close_converse intersects each
@@ -441,8 +446,7 @@ def parse_network(text: str) -> ConstraintNetwork:
         pos = end
         plain = chunk.isascii()
         if plain:
-            ends, counts, view, starts, lengths = _scan_lines(chunk)
-            plain = not np.count_nonzero(counts & ~4)  # 0 or 4 tokens a line
+            ends, plain, view, starts, lengths = _scan_lines(chunk)
         if plain:
             begin = starts.reshape(-1, 4)  # each line's four tokens
             width = lengths.reshape(-1, 4)
@@ -456,7 +460,17 @@ def parse_network(text: str) -> ConstraintNetwork:
                 and not np.count_nonzero(ij[:, 0] == ij[:, 1])
             )
         if plain:
-            np.bitwise_and.at(net._m.reshape(-1), ij[:, 0] * len(net) + ij[:, 1], codes)
+            m = net._m.reshape(-1)
+            cells = ij[:, 0] * len(net) + ij[:, 1]
+            labels = m.take(cells)
+            labels &= codes
+            m[cells] = labels
+            # A cell declared twice in the chunk holds one declaration's
+            # label.  Where that reads back other than written, the chunk's
+            # declarations are intersected in again, each one, which leaves
+            # those already in unchanged.
+            if np.count_nonzero(m.take(cells) != labels):
+                np.bitwise_and.at(m, cells, codes)
             lineno += len(ends)
             continue
         lines = chunk.splitlines()
@@ -540,13 +554,13 @@ def _scan_lines(
     """The lines and tokens of an ASCII chunk, split as by str.splitlines
     and str.split.
 
-    Returns (ends, counts, view, starts, lengths).  For each line: where
-    it ends (the offset of its line break, or the length of chunk), and how
-    many tokens it holds.  view holds the little-endian uint64 at each
-    byte offset of chunk, read on into _PAD, so that a key can be read at
-    any token (_token_keys).  For each token: its offset in chunk, and its
-    length.  Every line break is one character, as parse_network
-    has folded each CRLF into '\\n'.
+    Returns (ends, regular, view, starts, lengths).  For each line: where
+    it ends (the offset of its line break, or the length of chunk).
+    regular: whether every line holds four tokens or none.  view holds the
+    little-endian uint64 at each byte offset of chunk, read on into _PAD,
+    so that a key can be read at any token (_token_keys).  For each token:
+    its offset in chunk, and its length.  Every line break is one
+    character, as parse_network has folded each CRLF into '\\n'.
     """
     raw = b" " + chunk.encode("ascii") + _PAD
     kind = np.frombuffer(raw.translate(_ASCII_CLASS), dtype=np.uint8)
@@ -560,11 +574,19 @@ def _scan_lines(
     ends = breaks.nonzero()[0]
     if not breaks[-1]:
         ends = np.append(ends, len(chunk))
-    totals = starts.searchsorted(ends)
-    counts = totals.copy()
-    counts[1:] -= totals[:-1]
+    # With four tokens a line, each line's fourth token begins before its
+    # end and the next line's first after it.  Only a chunk that fails this,
+    # one with a blank line say, has each line's tokens counted.
+    regular = (
+        len(starts) == 4 * len(ends)
+        and not np.count_nonzero(starts[3::4] > ends)
+        and not np.count_nonzero(starts[4::4] < ends[:-1])
+    )
+    if not regular:
+        counts = np.diff(np.searchsorted(starts, ends), prepend=0)
+        regular = not np.count_nonzero(counts & ~4)
     view = np.ndarray((len(raw) - 8,), "<u8", raw, 1, (1,))
-    return ends, counts, view, starts, edges[1::2] - starts
+    return ends, regular, view, starts, edges[1::2] - starts
 
 
 def _parse_line(

@@ -758,6 +758,25 @@ def _chunk_first_lines(text):
     return firsts
 
 
+def _chunk_lines(text):
+    """The line numbers of each chunk parse_network reads text in."""
+    firsts = _chunk_first_lines(text)
+    return [range(a, b) for a, b in zip(firsts, [*firsts[1:], len(text.splitlines()) + 1])]
+
+
+def _spy_parse_line(monkeypatch):
+    """The line numbers handed to _parse_line, in call order, as they come."""
+    calls = []
+    parse_line = network._parse_line
+
+    def counted(raw, lineno, net, spellings):
+        calls.append(lineno)
+        return parse_line(raw, lineno, net, spellings)
+
+    monkeypatch.setattr(network, "_parse_line", counted)
+    return calls
+
+
 # A comment preamble longer than one 64 KiB chunk.
 _PREAMBLE = "# preamble\n" * 8000
 
@@ -786,35 +805,28 @@ def _with_irregular_line(lines, edit):
 @pytest.mark.parametrize(
     "chunk, head, edit, n_chunks",
     [
-        (network._CHUNK, "", None, 25),
-        (network._CHUNK, "", "mid # mid", 25),
-        (network._CHUNK, "", "mid-lower", 25),
-        (1 << 16, "", None, 13),
-        (1 << 16, "", "end # end", 13),
-        (1 << 16, "", "end # r\u00e9gion", 13),
-        (1 << 16, _PREAMBLE, None, 13),
+        (network._CHUNK, "", None, 13),
+        (network._CHUNK, "", "mid # mid", 13),
+        (network._CHUNK, "", "mid-lower", 13),
+        (1 << 15, "", None, 25),
+        (1 << 15, "", "end # end", 25),
+        (1 << 15, "", "end # r\u00e9gion", 25),
+        (1 << 15, _PREAMBLE, None, 25),
     ],
     ids=[
         "plain-chunk-default",
         "mid-comment-chunk-default",
         "mid-lower-spelling-chunk-default",
-        "plain-chunk-64k",
-        "comment-chunk-64k",
-        "non-ascii-chunk-64k",
-        "preamble-chunk-64k",
+        "plain-chunk-32k",
+        "comment-chunk-32k",
+        "non-ascii-chunk-32k",
+        "preamble-chunk-32k",
     ],
 )
 def test_only_a_chunk_with_an_irregular_line_goes_through_the_grammar(
     monkeypatch, chunk, head, edit, n_chunks
 ):
-    calls = []  # the line numbers handed to _parse_line, in call order
-    parse_line = network._parse_line
-
-    def counted(raw, lineno, net, spellings):
-        calls.append(lineno)
-        return parse_line(raw, lineno, net, spellings)
-
-    monkeypatch.setattr(network, "_parse_line", counted)
+    calls = _spy_parse_line(monkeypatch)
     monkeypatch.setattr(network, "_CHUNK", chunk)
     net = random_network(400, 0.5, M99_PALETTE, rng=11)
     lines = (head + serialize_network(net)).splitlines()
@@ -836,10 +848,103 @@ def test_only_a_chunk_with_an_irregular_line_goes_through_the_grammar(
     if edit:
         c = max(k for k, f in enumerate(firsts) if f <= bad)
         assert 0 < c < n_chunks - 1 or edit.startswith("end")
-        grammar = range(firsts[c], [*firsts, len(lines) + 1][c + 1])
+        grammar = _chunk_lines(text)[c]
     if edit == "mid-lower":  # the last chunk holds the spelling the grammar met
         assert " : c" in "\n".join(lines[firsts[-1] - 1 :])  # canonical ones begin 'C'
     assert calls == [*grammar]
+
+
+@pytest.mark.parametrize("chunk", [network._CHUNK, 40], ids=["chunk-default", "chunk-40"])
+def test_blank_lines_in_a_gen_network_are_read_in_bulk(monkeypatch, chunk):
+    """Blank and whitespace-only lines fail the four-token test, so the
+    tokens of a chunk that holds one are counted line by line; it is still
+    read in bulk.  A chunk of four-token lines is never counted."""
+    net = random_network(200, 0.5, M99_PALETTE, rng=5)
+    lines = serialize_network(net).splitlines()
+    rng = random.Random(5)
+    for k in sorted(rng.sample(range(1, len(lines) + 1), 60), reverse=True):
+        lines.insert(k, rng.choice(("", " ", "\t", " \t\x0b\x0c ")))
+    text = "\n".join(lines) + "\n"
+    want = reference_parse_network(text)
+    monkeypatch.setattr(network, "_CHUNK", chunk)
+    calls = _spy_parse_line(monkeypatch)
+    counted = []  # one entry per chunk whose tokens were counted line by line
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *args: counted.append(0) or searchsorted(*args))
+    assert np.array_equal(parse_network(serialize_network(net)).to_array(), net.to_array())
+    assert counted == []
+    got = parse_network(text)
+    assert calls == []
+    assert got.names == want.names and np.array_equal(got.to_array(), want.to_array())
+    assert np.array_equal(got.to_array(), net.to_array())
+    blank = [k for k, line in enumerate(lines, 1) if not line.split()]
+    assert len(counted) == sum(any(k in c for k in blank) for c in _chunk_lines(text)) > 0
+
+
+@pytest.mark.parametrize("twice", ["equal", "all-first", "all-second"])
+@pytest.mark.parametrize("chunk", [network._CHUNK, 40], ids=["chunk-default", "chunk-40"])
+def test_a_pair_declared_twice_in_one_chunk_is_read_in_bulk(monkeypatch, chunk, twice):
+    """A bulk chunk's declarations are written by one gather and scatter.
+    Where a pair is declared twice in a chunk with labels that differ, the
+    cell reads back the wrong label, and only that chunk is intersected
+    again, one declaration at a time."""
+    net = random_network(200, 0.5, M99_PALETTE, rng=7)
+    lines, second = [], []  # second: numbers of the second declarations
+    for k, line in enumerate(serialize_network(net).splitlines()):
+        declared = [line]
+        if k and k % 97 == 0:
+            declared.append(line)
+            if twice != "equal":
+                declared[twice == "all-second"] = f"{line.partition(' : ')[0]} : ALL"
+            second.append(len(lines) + 2)
+        lines += declared
+    text = "\n".join(lines) + "\n"
+    want = reference_parse_network(text)
+    monkeypatch.setattr(network, "_CHUNK", chunk)
+    calls = _spy_parse_line(monkeypatch)
+    redone = []  # one entry per chunk intersected again
+    bitwise_and = np.bitwise_and
+
+    class _Spy:
+        def at(self, *args):
+            redone.append(0)
+            return bitwise_and.at(*args)
+
+    monkeypatch.setattr(np, "bitwise_and", _Spy())
+    got = parse_network(text)
+    assert calls == []
+    assert got.names == want.names and np.array_equal(got.to_array(), want.to_array())
+    assert np.array_equal(got.to_array(), net.to_array())
+    chunks = _chunk_lines(text)
+    both = sum(any(k in c and k - 1 in c for k in second) for c in chunks)
+    assert both > 0
+    assert len(redone) == (0 if twice == "equal" else both)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("v0 v1 : CG v2 v3 : CG", ""), ("v0 v1 :", "CG v2 v3 : CG")],
+    ids=["eight-then-blank", "three-then-five"],
+)
+@pytest.mark.parametrize("chunk", [network._CHUNK, 40], ids=["chunk-default", "chunk-40"])
+def test_two_lines_of_eight_tokens_in_all_go_to_the_grammar(monkeypatch, chunk, extra):
+    """Two lines that hold eight tokens, but not four each, fail the
+    four-token test and the count behind it, though cut into fours they
+    would read as two plain declarations.  Their chunk goes through the
+    grammar, which raises at the first of them."""
+    net = random_network(200, 0.5, M99_PALETTE, rng=9)
+    lines = serialize_network(net).splitlines()
+    bad = len(lines) // 2 + 1
+    lines[bad - 1 : bad - 1] = extra
+    text = "\n".join(lines) + "\n"
+    want = _outcome(reference_parse_network, text)
+    assert want[2] == bad
+    monkeypatch.setattr(network, "_CHUNK", chunk)
+    calls = _spy_parse_line(monkeypatch)
+    assert _outcome(parse_network, text) == want
+    c = next(c for c in _chunk_lines(text) if bad in c)
+    assert bad + 1 in c or chunk != network._CHUNK
+    assert calls == [*range(c[0], bad + 1)]
 
 
 def _join_lines(lines, eols):
@@ -988,15 +1093,8 @@ def test_parse_matches_the_line_loop_on_byte_keyed_names(monkeypatch, chunk):
 def test_names_of_up_to_31_bytes_are_read_in_bulk(monkeypatch, longest):
     """A chunk is read in bulk when every name it uses has at most 31
     bytes; one that uses a longer name goes through the grammar."""
-    calls = []  # the line numbers handed to _parse_line, in call order
-    parse_line = network._parse_line
-
-    def counted(raw, lineno, net, spellings):
-        calls.append(lineno)
-        return parse_line(raw, lineno, net, spellings)
-
-    monkeypatch.setattr(network, "_parse_line", counted)
-    n = 100
+    calls = _spy_parse_line(monkeypatch)
+    n = 120
     net = random_network(n, 0.9, M99_PALETTE, rng=3)
     # The last vertex, named in every chunk, gets a name of `longest` bytes;
     # the others get names of 1 to 31 bytes.
@@ -1010,14 +1108,14 @@ def test_names_of_up_to_31_bytes_are_read_in_bulk(monkeypatch, longest):
     got = parse_network(text)
     assert got.names == tuple(rename.values())
     assert np.array_equal(got.to_array(), net.to_array())
-    firsts = _chunk_first_lines(text)
-    assert len(firsts) > 3
+    chunks = _chunk_lines(text)
+    assert len(chunks) > 3
     # Each chunk that uses the long name goes through the grammar from its
     # first line on; the 'nodes:' line never does.
     want = []
-    for a, b in zip(firsts, [*firsts[1:], len(lines) + 1]):
-        if any(len(max(lines[k - 1].split()[:2], key=len)) > 31 for k in range(a, b)):
-            want += range(a, b)
+    for chunk in chunks:
+        if any(len(max(lines[k - 1].split()[:2], key=len)) > 31 for k in chunk):
+            want += chunk
     assert want == ([] if longest <= 31 else [*range(2, len(lines) + 1)])
     assert calls == want
 
