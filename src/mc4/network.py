@@ -390,8 +390,8 @@ def parse_network(text: str) -> ConstraintNetwork:
     names table is built from the network it declares, and the rest of the
     text is read in chunks of whole lines (_chunk_end) that begin after
     that line.  An ASCII chunk is scanned once as bytes (_scan_lines),
-    which splits it into lines as str.splitlines does and into tokens as
-    str.split does.
+    which counts its lines as str.splitlines does and splits it into tokens
+    as str.split does.
 
     An ASCII chunk is read in bulk when it is plain: every line is blank or
     holds four tokens, the third ':', two distinct declared vertices and a
@@ -410,15 +410,15 @@ def parse_network(text: str) -> ConstraintNetwork:
     The chunk is small so that each one's arrays sit in memory the
     allocator reuses from chunk to chunk; smaller chunks lose to the fixed
     cost of each chunk's numpy calls.  A 600 KB dense-random file of 30 000
-    lines parses in about 4.5 ms, and a 21 MB file of 2000 vertices in
-    about 0.2 s.
+    lines parses in about 3.3 ms, and a 21 MB file of 2000 vertices in
+    about 0.11 s.
 
     Any other chunk (one with a non-ASCII character, an irregular line, or
     a name or spelling longer than 31 characters) goes through _parse_line,
     the grammar one line at a time, from its first line on.  So the first
     bad line raises, and the ParseError, its message, token and line
     number, is the one a loop over text.splitlines() would raise.  A chunk
-    read this way is about 3.5 ms slower than in bulk for the 3300 lines of
+    read this way is about 3 ms slower than in bulk for the 3300 lines of
     a 64 KiB chunk of a dense-random file; only the chunk that needs it
     pays.
 
@@ -446,22 +446,24 @@ def parse_network(text: str) -> ConstraintNetwork:
         pos = end
         plain = chunk.isascii()
         if plain:
-            ends, plain, view, starts, lengths = _scan_lines(chunk)
+            n_lines, plain, view, starts, lengths = _scan_lines(chunk)
         if plain:
-            begin = starts.reshape(-1, 4)  # each line's four tokens
-            width = lengths.reshape(-1, 4)
+            # One row per role of a line's four tokens: name, name, ':' and
+            # spelling, so each lookup and test below runs on contiguous rows.
+            begin = starts.reshape(-1, 4).T.copy()
+            width = lengths.reshape(-1, 4).T.copy()
             key0 = _token_keys(view, begin, width, 1)[0]  # their keys' first words
-            ij = names.get(key0[:, :2], view, begin[:, :2], width[:, :2])
-            codes = spelled.get(key0[:, 3], view, begin[:, 3], width[:, 3])
+            ij = names.get(key0[:2], view, begin[:2], width[:2])
+            codes = spelled.get(key0[3], view, begin[3], width[3])
             plain = (
                 ij is not None
                 and codes is not None
-                and not np.count_nonzero(key0[:, 2] != _COLON)
-                and not np.count_nonzero(ij[:, 0] == ij[:, 1])
+                and not np.count_nonzero(key0[2] != _COLON)
+                and not np.count_nonzero(ij[0] == ij[1])
             )
         if plain:
             m = net._m.reshape(-1)
-            cells = ij[:, 0] * len(net) + ij[:, 1]
+            cells = ij[0] * len(net) + ij[1]
             labels = m.take(cells)
             labels &= codes
             m[cells] = labels
@@ -471,7 +473,7 @@ def parse_network(text: str) -> ConstraintNetwork:
             # those already in unchanged.
             if np.count_nonzero(m.take(cells) != labels):
                 np.bitwise_and.at(m, cells, codes)
-            lineno += len(ends)
+            lineno += n_lines
             continue
         lines = chunk.splitlines()
         for k, line in enumerate(lines, lineno):
@@ -548,18 +550,15 @@ def _chunk_end(text: str, pos: int) -> int:
     return len(text) if cut < 0 else cut + 1
 
 
-def _scan_lines(
-    chunk: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _scan_lines(chunk: str) -> tuple[int, bool, np.ndarray, np.ndarray, np.ndarray]:
     """The lines and tokens of an ASCII chunk, split as by str.splitlines
     and str.split.
 
-    Returns (ends, regular, view, starts, lengths).  For each line: where
-    it ends (the offset of its line break, or the length of chunk).
-    regular: whether every line holds four tokens or none.  view holds the
+    Returns (lines, regular, view, starts, lengths): the number of lines
+    in chunk; whether every line holds four tokens or none; the
     little-endian uint64 at each byte offset of chunk, read on into _PAD,
-    so that a key can be read at any token (_token_keys).  For each token:
-    its offset in chunk, and its length.  Every line break is one
+    so that a key can be read at any token (_token_keys); and for each
+    token, its offset in chunk and its length.  Every line break is one
     character, as parse_network has folded each CRLF into '\\n'.
     """
     raw = b" " + chunk.encode("ascii") + _PAD
@@ -571,22 +570,28 @@ def _scan_lines(
     edges = (space[1:] != space[:-1]).nonzero()[0]
     starts = edges[0::2]
     breaks = kind[1 : len(chunk) + 1] == _BREAK
-    ends = breaks.nonzero()[0]
-    if not breaks[-1]:
-        ends = np.append(ends, len(chunk))
-    # With four tokens a line, each line's fourth token begins before its
-    # end and the next line's first after it.  Only a chunk that fails this,
-    # one with a blank line say, has each line's tokens counted.
+    n_breaks = int(np.count_nonzero(breaks))
+    lines = n_breaks + (not breaks[-1])
+    # A chunk of 4 * lines tokens is regular when each of its first n_breaks
+    # fourth tokens is followed at once by a break (token 4r + 3 by raw byte
+    # edges[8r + 7] + 1).  Those are n_breaks distinct breaks, so all of
+    # them: line r holds tokens 4r to 4r + 3, and a last line with no break
+    # the four left.  Only the first n_breaks are tested: 8 and 4 tokens on
+    # two lines and a last line of spaces would pass a test of all three.
+    # A chunk that fails, one with a blank line say, has its lines located
+    # and each one's tokens counted.
     regular = (
-        len(starts) == 4 * len(ends)
-        and not np.count_nonzero(starts[3::4] > ends)
-        and not np.count_nonzero(starts[4::4] < ends[:-1])
+        len(starts) == 4 * lines
+        and np.count_nonzero(kind[edges[7::8][:n_breaks] + 1] == _BREAK) == n_breaks
     )
     if not regular:
+        ends = breaks.nonzero()[0]
+        if not breaks[-1]:
+            ends = np.append(ends, len(chunk))
         counts = np.diff(np.searchsorted(starts, ends), prepend=0)
         regular = not np.count_nonzero(counts & ~4)
     view = np.ndarray((len(raw) - 8,), "<u8", raw, 1, (1,))
-    return ends, regular, view, starts, edges[1::2] - starts
+    return lines, regular, view, starts, edges[1::2] - starts
 
 
 def _parse_line(

@@ -6,7 +6,7 @@ from itertools import cycle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mc4.algebra import (
@@ -486,6 +486,37 @@ def test_scan_tables_match_str_split_and_splitlines():
     assert set(np.flatnonzero(table == _BREAK).tolist()) == breaks
 
 
+_BREAK_CHARS = tuple(chr(c) for c in range(128) if _ASCII_CLASS[c] == _BREAK)
+
+
+@st.composite
+def scan_chunks(draw):
+    """An ASCII chunk as parse_network hands one to _scan_lines: lines of
+    tokens, spaces and tabs, ended by any line break byte or, last, none;
+    with its carriage returns folded into '\\n'."""
+    gap = st.text(" \t", min_size=1, max_size=3)
+    pieces = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        n = draw(st.sampled_from((0, 4, 4, 4, 1, 3, 5, 8)))
+        line = draw(st.text(" \t", max_size=2))
+        for k in range(n):
+            line += (draw(gap) if k else "") + draw(st.sampled_from(("a", "v10", ":", "CG|CNO")))
+        pieces.append(line + draw(st.text(" \t", max_size=2)) + draw(st.sampled_from(_BREAK_CHARS)))
+    if draw(st.booleans()):
+        pieces[-1] = pieces[-1][:-1]
+    return "".join(pieces).replace("\r\n", "\n").replace("\r", "\n") or " "
+
+
+@settings(max_examples=400, deadline=None)
+@given(scan_chunks())
+@example("a b : CG c d : CG\ne f : CG\n ")  # 8 + 4 tokens and a line of spaces
+def test_scan_lines_counts_and_tests_lines_as_str_splitlines(chunk):
+    lines, regular, _, starts, lengths = network._scan_lines(chunk)
+    assert lines == len(chunk.splitlines())
+    assert regular == all(len(line.split()) in (0, 4) for line in chunk.splitlines())
+    assert [chunk[s : s + k] for s, k in zip(starts.tolist(), lengths.tolist())] == chunk.split()
+
+
 _PARSE_ERRORS = [
     ("a b : CG\n", "nodes", 1),
     ("nodes:\n", "no vertices", 1),
@@ -945,6 +976,62 @@ def test_two_lines_of_eight_tokens_in_all_go_to_the_grammar(monkeypatch, chunk, 
     c = next(c for c in _chunk_lines(text) if bad in c)
     assert bad + 1 in c or chunk != network._CHUNK
     assert calls == [*range(c[0], bad + 1)]
+
+
+def _blank_chunk(lines):
+    """lines with blank lines put in after the middle one, enough of them
+    that at least one chunk holds blank lines only."""
+    k = len(lines) // 2
+    return "\n".join(lines[:k] + [""] * (3 * network._CHUNK) + lines[k:]) + "\n"
+
+
+# Texts whose lines the line test of _scan_lines must count exactly, each
+# made from the lines of a gen network.
+_LINE_TEST_TEXTS = {
+    # 8 tokens, 4 tokens, then a last line of one space and no '\n': 12
+    # tokens on 3 lines with 2 breaks, and 2 of the 3 fourth tokens are
+    # followed by a break, the 8th and the 12th.
+    "eight-four-space": lambda lines: "nodes: a b c d e f\na b : CG c d : CG\ne f : CG\n ",
+    "eight-four-space-at-the-end": lambda lines: (
+        "\n".join([*lines, "v0 v1 : CG v2 v3 : CG", "v4 v5 : CG"]) + "\n "
+    ),
+    # '\v' is a line break to str.splitlines: "v0" and "v1 : CG" are two lines.
+    "vt-between-names": lambda lines: "\n".join(
+        [*lines[: len(lines) // 2], "v0\x0bv1 : CG", *lines[len(lines) // 2 :]]
+    ) + "\n",
+    "no-final-newline": lambda lines: "\n".join(lines),
+    "whitespace-last-line": lambda lines: "\n".join(lines) + "\n \t ",
+    "blank-chunk": _blank_chunk,
+}
+
+
+@pytest.mark.parametrize("case", list(_LINE_TEST_TEXTS))
+@pytest.mark.parametrize("chunk", [network._CHUNK, 40], ids=["chunk-default", "chunk-40"])
+def test_lines_are_counted_only_in_chunks_that_fail_the_line_test(monkeypatch, chunk, case):
+    """_scan_lines counts a chunk's line breaks and tests that each of the
+    first fourth tokens is followed by one; only a chunk that fails has its
+    lines located and their tokens counted (np.searchsorted).  It fails
+    exactly when some line holds other than four tokens, and the text
+    reads as by the line loop, matrix, error and line number."""
+    net = random_network(200, 0.5, M99_PALETTE, rng=13)
+    lines = serialize_network(net).splitlines()
+    text = _LINE_TEST_TEXTS[case](lines)
+    want = _outcome(reference_parse_network, text)
+    monkeypatch.setattr(network, "_CHUNK", chunk)
+    counted = []  # one entry per chunk whose tokens were counted line by line
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *args: counted.append(0) or searchsorted(*args))
+    assert np.array_equal(parse_network(serialize_network(net)).to_array(), net.to_array())
+    assert counted == []
+    assert _outcome(parse_network, text) == want
+    # Chunks past the first error are never scanned.
+    last = want[2] if len(want) == 3 else len(text.splitlines())
+    words = [len(line.split()) for line in text.splitlines()]
+    failing = [any(words[k - 1] != 4 for k in c) for c in _chunk_lines(text) if c[0] <= last]
+    assert len(counted) == sum(failing)
+    assert bool(counted) == (case != "no-final-newline")
+    if case == "blank-chunk":
+        assert any(not any(words[k - 1] for k in c) for c in _chunk_lines(text))
 
 
 def _join_lines(lines, eols):
