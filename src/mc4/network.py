@@ -138,8 +138,10 @@ class ConstraintNetwork:
 
     def relation_profile(self) -> RelationSet:
         """Set of labels appearing on the unordered pairs of the network."""
-        counts = np.bincount(self._m[_upper_triangle(len(self))], minlength=16)
-        return RelationSet(sum(1 << code for code in np.flatnonzero(counts).tolist()))
+        # The explicit dtype keeps numpy 1's value-based casting from
+        # shifting in uint8, the codes' type.
+        bits = np.left_shift(1, self._m[_upper_triangle(len(self))], dtype=np.uint16)
+        return RelationSet(int(np.bitwise_or.reduce(bits)))
 
 
 def _upper_triangle(n: int) -> np.ndarray:

@@ -456,6 +456,19 @@ def to_gadget_m81(net: ConstraintNetwork) -> GadgetGraph:
 # ---------------------------------------------------------------------------
 
 
+# Rows of a block's 9-row buffer (row 0 zeros, row 1 + k block row k) per
+# nibble: column 16h + x, for nibble value x in half h of a byte, holds for
+# each bit a of x the row it stands for, 1 + 4h + a, or 0 when a is clear.
+# ORed over axis 0, the gathered rows give in row 16h + x the OR of the
+# block rows that x picks in half h.
+_NIBBLE_ROWS = np.array(
+    [[1 + 4 * (x >> 4) + a if x >> a & 1 else 0 for x in range(32)] for a in range(4)],
+    dtype=np.intp,
+)
+# Byte x -> the row of those 32 that holds its high nibble's OR.
+_HIGH_NIBBLE = 16 + (np.arange(256) >> 4)
+
+
 def _closure(leq: np.ndarray) -> np.ndarray:
     """Reflexive-transitive closure of the LEQ arcs.
 
@@ -468,7 +481,14 @@ def _closure(leq: np.ndarray) -> np.ndarray:
     some block pivot p through intermediates below 8c, p reaches some block
     pivot q within the block, and row q reaches v: split the path at its
     first and last block vertex.  So each block
-    1. tabulates lut[x], the OR of the block rows in x, for every byte x;
+    1. tabulates lut[x], the OR of the block rows in x, for every byte x,
+       from two 16-entry tables: the block rows are copied below a zero
+       row into a 9-row buffer (a partial last block leaves zero rows
+       too), and one gather through _NIBBLE_ROWS and an OR over its first
+       axis give lo[l] and hi[h] (rows l and 16 + h), the OR of the rows
+       in low nibble l and in high nibble h; lut[16h + l] = hi[h] | lo[l]
+       is written as hi gathered to every x, then lo ORed into each run
+       of 16;
     2. closes the block within itself: f[x], byte c of lut[x], is x (every
        vertex has its loop) with the block pivots x reaches in one step,
        and squaring f three times lets it take up to eight steps;
@@ -478,18 +498,26 @@ def _closure(leq: np.ndarray) -> np.ndarray:
     """
     n = len(leq)
     reach = np.packbits(leq, axis=1, bitorder="little")
+    w = reach.shape[1]
     full = np.packbits(np.ones(n, dtype=bool), bitorder="little")
-    lut = np.zeros((256, reach.shape[1]), dtype=np.uint8)
-    for c in range(reach.shape[1]):
+    full_bytes = full.tobytes()
+    lut = np.empty((256, w), dtype=np.uint8)
+    by_high = lut.reshape(16, 16 * w)  # row h: lut[16h] to lut[16h + 15]
+    for c in range(w):
         rows = reach[8 * c : 8 * c + 8]
-        for a, row in enumerate(rows):
-            np.bitwise_or(lut[: 1 << a], row, out=lut[1 << a : 2 << a])
-        f = lut[: 1 << len(rows), c]
-        f = f[f]
-        f = f[f]
-        f = f[f]
+        pad = np.zeros((9, w), dtype=np.uint8)
+        pad[1 : 1 + len(rows)] = rows
+        nibbles = np.bitwise_or.reduce(pad.take(_NIBBLE_ROWS, axis=0), axis=0)
+        # The indices are in range; mode="clip" only keeps take from
+        # writing out through a buffer, as its default mode does.
+        nibbles.take(_HIGH_NIBBLE, axis=0, out=lut, mode="clip")
+        np.bitwise_or(by_high, nibbles[:16].reshape(1, -1), out=by_high)
+        f = lut[:, c]
+        f = f.take(f)
+        f = f.take(f)
+        f = f.take(f)
         reach |= lut.take(f.take(reach[:, c]), axis=0)
-        if np.array_equal(reach[0], full) and (reach == full).all():
+        if reach[0].tobytes() == full_bytes and (reach == full).all():
             break
     return np.unpackbits(reach, axis=1, count=n, bitorder="little").view(bool)
 
@@ -514,8 +542,10 @@ def detect_m99(g: GadgetGraph, names) -> tuple[bool, dict | None]:
     is its own converse and excludes CG), and so is nle & r & r.T.
     """
     r = _closure(g.leq)
+    n = len(r)
     while (fire := g.eqx & r.T & ~r).any():
-        for a, b in np.argwhere(fire).tolist():
+        for k in np.flatnonzero(fire).tolist():
+            a, b = divmod(k, n)
             if not r[a, b]:
                 r[r[:, a]] |= r[b]
     chord = _first_upper_pair(g.nle & r & r.T)

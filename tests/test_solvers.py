@@ -995,13 +995,16 @@ def test_m99_forcing_takes_two_rounds():
 
 def reference_reach(arcs, n):
     """Vertices each vertex reaches over the arc set, itself included."""
+    succ = [[] for _ in range(n)]
+    for w, x in arcs:
+        succ[w].append(x)
     out = []
     for u in range(n):
         seen, stack = {u}, [u]
         while stack:
             w = stack.pop()
-            for x in range(n):
-                if (w, x) in arcs and x not in seen:
+            for x in succ[w]:
+                if x not in seen:
                     seen.add(x)
                     stack.append(x)
         out.append(seen)
@@ -1063,26 +1066,64 @@ def test_closure_stops_only_on_an_all_ones_matrix():
     assert np.array_equal(closure_of(30, arcs), chain_reach([0] + order))
 
 
-def reference_detect(g, names):
+def numpy_warshall(leq):
+    """Warshall's algorithm one pivot at a time on a boolean matrix."""
+    r = leq.copy()
+    for k in range(len(r)):
+        r |= r[:, k, None] & r[k]
+    return r
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 300])
+def test_closure_matches_a_numpy_warshall(n):
+    # Many byte columns, and at 257 and 300 a partial last block, whose
+    # OR-table reads the zero rows of the padded block buffer.
+    rng = np.random.default_rng(n)
+    for p in (1.5 / n, 0.3):
+        leq = rng.random((n, n)) < p
+        np.fill_diagonal(leq, True)
+        assert np.array_equal(_closure(leq), numpy_warshall(leq))
+
+
+def test_closure_stops_at_a_late_block():
+    # A hub joined both ways to every vertex fills the matrix only at its
+    # own block, 8-pivot block 36 of 38 for v290, and the closure stops
+    # there; a sparse chain keeps the earlier blocks busy.
+    n, hub = 300, 290
+    leq = np.eye(n, dtype=bool)
+    leq[hub] = leq[:, hub] = True
+    leq[np.arange(n - 1), np.arange(1, n)] = True
+    before_hub = leq.copy()
+    for k in range(8 * (hub // 8)):
+        before_hub |= before_hub[:, k, None] & before_hub[k]
+    assert not before_hub.all()
+    assert _closure(leq).all()
+
+
+def reference_detect(g, names, *, rounds=False):
     """detect_m99 from sets: close the LEQ arcs, add a -> b for every
     conditional pair (a, b) whose b reaches a until none is new, and name
     the first mutually reachable NLE pair of the upper triangle with its
-    mutual-reachability class."""
+    mutual-reachability class.  With rounds=True the number of firing
+    rounds, the rounds that added an arc, comes third."""
     n = len(names)
     arcs = set(map(tuple, np.argwhere(g.leq).tolist()))
     eqx = np.argwhere(g.eqx).tolist()
+    fired = 0
     while True:
         reach = reference_reach(arcs, n)
         new = {(a, b) for a, b in eqx if a in reach[b] and b not in reach[a]}
         if not new:
             break
         arcs |= new
-    for u in range(n):
-        for v in range(u + 1, n):
-            if g.nle[u, v] and v in reach[u] and u in reach[v]:
-                cycle = [names[w] for w in range(n) if w in reach[u] and u in reach[w]]
-                return False, {"type": "cycle_chord", "cycle": cycle, "chord": [names[u], names[v]]}
-    return True, None
+        fired += 1
+    out = True, None
+    for u, v in ((u, v) for u in range(n) for v in range(u + 1, n)):
+        if g.nle[u, v] and v in reach[u] and u in reach[v]:
+            cycle = [names[w] for w in range(n) if w in reach[u] and u in reach[w]]
+            out = False, {"type": "cycle_chord", "cycle": cycle, "chord": [names[u], names[v]]}
+            break
+    return (*out, fired) if rounds else out
 
 
 def test_detect_matches_the_set_reference():
@@ -1107,6 +1148,39 @@ def test_detect_matches_the_set_reference():
             collapsed += all(len(r) == n for r in reference_reach(leq_arcs, n))
     assert verdicts == {True, False}
     assert collapsed
+
+
+def tightened(net, hidden, rng):
+    """Copy of a planted network with one random label cut to an M99 label
+    that excludes the pair's hidden base case."""
+    cuts = []
+    for (i, j), base in hidden.items():
+        cut = Relation(int(net._m[i, j]) & ~int(base))
+        if cut != EMPTY and cut in M99:
+            cuts.append((i, j, cut))
+    i, j, cut = cuts[int(rng.integers(len(cuts)))]
+    out = net.copy()
+    out.add_constraint(f"v{i}", f"v{j}", cut)
+    return out
+
+
+def test_detect_matches_the_set_reference_over_several_firing_rounds():
+    # Planted dominance networks, each also with one label tightened to
+    # exclude its hidden case, so the verdicts and witnesses of both kinds
+    # are compared where firing takes more than one round.
+    verdicts, most_rounds = set(), 0
+    for n in (63, 121):
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng([n, seed])
+            net, hidden = planted_network(n, rng, M99)
+            for case in (net, tightened(net, hidden, rng)):
+                g = to_gadget_m99(case)
+                ok, witness, fired = reference_detect(g, case.names, rounds=True)
+                assert detect_m99(g, case.names) == (ok, witness)
+                verdicts.add(ok)
+                most_rounds = max(most_rounds, fired)
+    assert verdicts == {True, False}
+    assert most_rounds >= 2
 
 
 # ---------------------------------------------------------------------------
