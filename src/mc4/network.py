@@ -22,10 +22,11 @@ nothing); the parser rejects self-loops without CG, while the programmatic
 NONE there.  Every contradiction is thus a NONE label in the matrix.
 
 ``parse_network`` reads the lines up to ``nodes:`` one at a time, then
-the rest a chunk of lines at a time: in bulk when the chunk is ASCII and
-every line of it is blank or plain (four tokens ``NAME NAME : RELATION``,
-two distinct declared vertices, a known spelling, no comment) and
-otherwise by the grammar, one line at a time.
+the rest a chunk of lines at a time: in bulk when the chunk is ASCII, holds
+no control character but tab and line feed, and every line of it is blank
+or plain (four tokens ``NAME NAME : RELATION``, two distinct declared
+vertices, a known spelling, no comment) and otherwise by the grammar, one
+line at a time.
 The bulk read resolves names and spellings of up to 31 bytes by their
 bytes, in hash tables, and makes no Python object per token.  Its errors,
 their messages, tokens and line numbers are those of a line-by-line
@@ -231,15 +232,6 @@ def is_algebraically_closed(net: ConstraintNetwork) -> bool:
 # ---------------------------------------------------------------------------
 
 
-# Classes of the bytes parse_network scans: whitespace as str.split sees
-# it, and line breaks as str.splitlines sees them, each of which is
-# whitespace too.  bytes.translate wants 256 entries; an ASCII chunk uses
-# the first 128.
-_SPACE, _BREAK = 1, 3
-_ASCII_CLASS = bytes(
-    _BREAK if len(f"a{chr(c)}b".splitlines()) == 2 else _SPACE if chr(c).isspace() else 0
-    for c in range(128)
-).ljust(256, b"\0")
 # Characters scanned at once, at least: a chunk runs on to the end of the
 # line it reaches _CHUNK in.  Few enough that a chunk's arrays sit in memory
 # reused from chunk to chunk, not in fresh pages; enough that each chunk's
@@ -386,16 +378,18 @@ def parse_network(text: str) -> ConstraintNetwork:
     Each CRLF and each lone carriage return in the text is first made a
     '\\n': str.splitlines takes each of them as one line break, so the
     lines, their tokens and their numbers stay those of the text as given.
-    A CRLF file pays for this copy: it parses about a third slower.
+    The CRLFs go first, so a text whose every '\\r' stood in one is copied
+    once.  A CRLF file pays for that copy: it parses in about 1.7x the time.
 
     _parse_header reads the lines up to 'nodes:' once, one at a time.  The
     names table is built from the network it declares, and the rest of the
     text is read in chunks of whole lines (_chunk_end) that begin after
-    that line.  An ASCII chunk is scanned once as bytes (_scan_lines),
-    which counts its lines as str.splitlines does and splits it into tokens
-    as str.split does.
+    that line.  An ASCII chunk whose only bytes below ' ' are tabs and
+    line feeds is scanned once as bytes (_scan_lines), which counts its
+    lines as str.splitlines does and splits it into tokens as str.split
+    does.
 
-    An ASCII chunk is read in bulk when it is plain: every line is blank or
+    Such a chunk is read in bulk when it is plain: every line is blank or
     holds four tokens, the third ':', two distinct declared vertices and a
     relation spelling met before.  No vertex name or spelling holds '#', so
     a plain chunk holds no comment.  The tokens are resolved by their
@@ -412,17 +406,19 @@ def parse_network(text: str) -> ConstraintNetwork:
     The chunk is small so that each one's arrays sit in memory the
     allocator reuses from chunk to chunk; smaller chunks lose to the fixed
     cost of each chunk's numpy calls.  A 600 KB dense-random file of 30 000
-    lines parses in about 3.3 ms, and a 21 MB file of 2000 vertices in
+    lines parses in about 3.2 ms, and a 21 MB file of 2000 vertices in
     about 0.11 s.
 
-    Any other chunk (one with a non-ASCII character, an irregular line, or
-    a name or spelling longer than 31 characters) goes through _parse_line,
-    the grammar one line at a time, from its first line on.  So the first
-    bad line raises, and the ParseError, its message, token and line
-    number, is the one a loop over text.splitlines() would raise.  A chunk
-    read this way is about 3 ms slower than in bulk for the 3300 lines of
-    a 64 KiB chunk of a dense-random file; only the chunk that needs it
-    pays.
+    Any other chunk (one with a non-ASCII character, a C0 control
+    character other than tab or line feed, an irregular line, or a name or
+    spelling longer than 31 characters) goes through _parse_line, the
+    grammar one line at a time, from its first line on.  So the first bad
+    line raises, and the ParseError, its message, token and line number, is
+    the one a loop over text.splitlines() would raise.  A chunk read this
+    way is about 3 ms slower than in bulk for the 3300 lines of a 64 KiB
+    chunk of a dense-random file; only the chunk that needs it pays, and
+    a chunk with a '\\v', '\\f' or other control byte pays it too
+    (_scan_lines says why).
 
     Each declaration, in bulk or by _parse_line, is written into its own
     cell (i, j) only.  After the last chunk _close_converse intersects each
@@ -435,7 +431,9 @@ def parse_network(text: str) -> ConstraintNetwork:
             self-loop whose relation excludes CG.
     """
     if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            text = text.replace("\r", "\n")
     net, pos, lineno = _parse_header(text)  # lineno: the next chunk's first line
     names = _ByteTable(net._index, np.intp)
     # Relation spellings to codes: the canonical ones serialize_network
@@ -554,7 +552,7 @@ def _chunk_end(text: str, pos: int) -> int:
 
 def _scan_lines(chunk: str) -> tuple[int, bool, np.ndarray, np.ndarray, np.ndarray]:
     """The lines and tokens of an ASCII chunk, split as by str.splitlines
-    and str.split.
+    and str.split, when its only bytes below ' ' are '\\t' and '\\n'.
 
     Returns (lines, regular, view, starts, lengths): the number of lines
     in chunk; whether every line holds four tokens or none; the
@@ -562,17 +560,31 @@ def _scan_lines(chunk: str) -> tuple[int, bool, np.ndarray, np.ndarray, np.ndarr
     so that a key can be read at any token (_token_keys); and for each
     token, its offset in chunk and its length.  Every line break is one
     character, as parse_network has folded each CRLF into '\\n'.
+
+    A byte up to ' ' is taken for a space and '\\n' for the one break.
+    That is what str.split and str.splitlines see for '\\t', '\\n' and
+    ' ', but not for the other bytes below ' ' ('\\v', '\\f' and '\\x1c'
+    to '\\x1e' end lines, '\\x1f' only parts tokens, the rest are name
+    bytes).  So a chunk that holds one of those is not scanned: it comes
+    back (0, False, None, None, None), not regular, and goes to the
+    grammar, a cost accepted for such rare bytes.
     """
     raw = b" " + chunk.encode("ascii") + _PAD
-    kind = np.frombuffer(raw.translate(_ASCII_CLASS), dtype=np.uint8)
-    space = kind != 0
+    byte = np.frombuffer(raw, dtype=np.uint8)
+    body = byte[1 : len(chunk) + 1]
+    breaks = body == 10
+    n_breaks = int(np.count_nonzero(breaks))
+    # Every byte below ' ' must be a break or a tab; tabs are counted only
+    # when some byte below ' ' is not a break.
+    controls = np.count_nonzero(body < 32)
+    if controls != n_breaks and controls != n_breaks + np.count_nonzero(body == 9):
+        return 0, False, None, None, None
+    space = byte <= 32
     # raw begins and ends in a space, so its edges alternate: a token begins
     # at offset k of chunk where byte k of raw is a space and byte k + 1 is
     # not, and ends before offset k where byte k is not a space and k + 1 is.
     edges = (space[1:] != space[:-1]).nonzero()[0]
     starts = edges[0::2]
-    breaks = kind[1 : len(chunk) + 1] == _BREAK
-    n_breaks = int(np.count_nonzero(breaks))
     lines = n_breaks + (not breaks[-1])
     # A chunk of 4 * lines tokens is regular when each of its first n_breaks
     # fourth tokens is followed at once by a break (token 4r + 3 by raw byte
@@ -584,7 +596,7 @@ def _scan_lines(chunk: str) -> tuple[int, bool, np.ndarray, np.ndarray, np.ndarr
     # and each one's tokens counted.
     regular = (
         len(starts) == 4 * lines
-        and np.count_nonzero(kind[edges[7::8][:n_breaks] + 1] == _BREAK) == n_breaks
+        and np.count_nonzero(byte[edges[7::8][:n_breaks] + 1] == 10) == n_breaks
     )
     if not regular:
         ends = breaks.nonzero()[0]

@@ -155,7 +155,8 @@ def is_valid_scenario(net: ConstraintNetwork, scenario: Scenario) -> bool:
     the diagonal, CG on it), so a missing or duplicated pair leaves a NONE
     behind.  An atomic network is closed exactly when its "fits inside or
     congruent" relation L = (c in {CG, CGPP}) is a preorder.  L holds
-    every loop, so it is one exactly when _closure adds no arc to it.
+    every loop, so it is one exactly when _closure adds no arc to it; a
+    closure that fills the matrix adds none only to a full L.
     """
     n = len(net)
     if len(scenario.pairs) != n * (n - 1) // 2:
@@ -182,7 +183,8 @@ def is_valid_scenario(net: ConstraintNetwork, scenario: Scenario) -> bool:
     if not c.all() or not np.array_equal(c & net._m, c):
         return False
     leq = (c == 1) | (c == 2)
-    return np.array_equal(_closure(leq), leq)
+    r = _closure(leq)
+    return bool(leq.all()) if r is None else np.array_equal(r, leq)
 
 
 def _first_upper_pair(mask: np.ndarray) -> tuple[int, int] | None:
@@ -469,11 +471,12 @@ _NIBBLE_ROWS = np.array(
 _HIGH_NIBBLE = 16 + (np.arange(256) >> 4)
 
 
-def _closure(leq: np.ndarray) -> np.ndarray:
+def _closure(leq: np.ndarray) -> np.ndarray | None:
     """Reflexive-transitive closure of the LEQ arcs.
 
-    Returns r, r[u, v] when u reaches v.  leq must hold every loop.  This
-    is Warshall's algorithm (1962) taken eight pivots at a time, after
+    Returns r, r[u, v] when u reaches v, or None when every vertex reaches
+    every other, as in dense random networks.  leq must hold every loop.
+    This is Warshall's algorithm (1962) taken eight pivots at a time, after
     Arlazarov, Dinic, Kronrod and Faradzev (1970).  The rows are packed
     bitsets only in here, so byte column c of a row is the set of pivots
     8c..8c+7 that row reaches.  Once the pivots below 8c are done, a row
@@ -493,8 +496,9 @@ def _closure(leq: np.ndarray) -> np.ndarray:
        vertex has its loop) with the block pivots x reaches in one step,
        and squaring f three times lets it take up to eight steps;
     3. ORs lut[f[byte c of u]] into every row u.
-    An all-ones matrix can gain nothing, so the loop stops there; row 0 is
-    tested first, being cheaper than the whole matrix.
+    An all-ones matrix can gain nothing, so the loop stops there and
+    returns None; row 0 is tested first, being cheaper than the whole
+    matrix.
     """
     n = len(leq)
     reach = np.packbits(leq, axis=1, bitorder="little")
@@ -518,7 +522,7 @@ def _closure(leq: np.ndarray) -> np.ndarray:
         f = f.take(f)
         reach |= lut.take(f.take(reach[:, c]), axis=0)
         if reach[0].tobytes() == full_bytes and (reach == full).all():
-            break
+            return None
     return np.unpackbits(reach, axis=1, count=n, bitorder="little").view(bool)
 
 
@@ -540,19 +544,27 @@ def detect_m99(g: GadgetGraph, names) -> tuple[bool, dict | None]:
     in row-major order over the upper triangle; its cycle is the chord's
     mutual-reachability class.  nle is symmetric with a clear diagonal (NLE
     is its own converse and excludes CG), and so is nle & r & r.T.
+
+    When the closure fills the matrix (_closure returns None), as in dense
+    random networks, all vertices form one class: nothing can fire, the
+    chord is the first NLE pair and the cycle is every name in index
+    order, the answer firing would give, without the fire or chord masks.
     """
     r = _closure(g.leq)
-    n = len(r)
-    while (fire := g.eqx & r.T & ~r).any():
-        for k in np.flatnonzero(fire).tolist():
-            a, b = divmod(k, n)
-            if not r[a, b]:
-                r[r[:, a]] |= r[b]
-    chord = _first_upper_pair(g.nle & r & r.T)
+    if r is None:
+        chord = _first_upper_pair(g.nle)
+    else:
+        n = len(r)
+        while (fire := g.eqx & r.T & ~r).any():
+            for k in np.flatnonzero(fire).tolist():
+                a, b = divmod(k, n)
+                if not r[a, b]:
+                    r[r[:, a]] |= r[b]
+        chord = _first_upper_pair(g.nle & r & r.T)
     if chord is None:
         return True, None
     u, v = chord
-    cycle = [names[w] for w in np.flatnonzero(r[u] & r[:, u])]
+    cycle = list(names) if r is None else [names[w] for w in np.flatnonzero(r[u] & r[:, u])]
     return False, {"type": "cycle_chord", "cycle": cycle, "chord": [names[u], names[v]]}
 
 

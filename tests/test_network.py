@@ -24,8 +24,6 @@ from mc4.algebra import (
 )
 from mc4 import network
 from mc4.network import (
-    _ASCII_CLASS,
-    _BREAK,
     _CONVERSE_ARR,
     ConstraintNetwork,
     is_algebraically_closed,
@@ -478,30 +476,61 @@ def test_parse_matches_one_add_constraint_per_declaration(data):
     assert np.array_equal(net.to_array(), reference.to_array())
 
 
-def test_scan_tables_match_str_split_and_splitlines():
-    spaces = {c for c in range(128) if chr(c).isspace()}
-    breaks = {c for c in range(128) if len(f"a{chr(c)}b".splitlines()) == 2}
-    table = np.frombuffer(_ASCII_CLASS, dtype=np.uint8)[:128]
-    assert set(np.flatnonzero(table).tolist()) == spaces
-    assert set(np.flatnonzero(table == _BREAK).tolist()) == breaks
+# ASCII characters that end a line to str.splitlines.
+_BREAK_CHARS = tuple(chr(c) for c in range(128) if len(f"a{chr(c)}b".splitlines()) == 2)
 
 
-_BREAK_CHARS = tuple(chr(c) for c in range(128) if _ASCII_CLASS[c] == _BREAK)
+def _admitted(chunk):
+    """True iff _scan_lines scans chunk: its only characters below ' ' are
+    tabs and line feeds."""
+    return all(c >= " " or c in "\t\n" for c in chunk)
+
+
+def test_bulk_scan_admits_tab_line_feed_and_space_only():
+    """Among the ASCII bytes below 33, the bulk scan admits exactly '\\t',
+    '\\n' and ' ', each whitespace to str.split, with '\\n' the only
+    break; every other byte that str.isspace or str.splitlines knows is
+    refused.  Bytes above ' ' are admitted and read as name bytes."""
+    admitted = set()
+    for c in range(128):
+        chunk = f"a{chr(c)}b c"
+        lines, regular, view, starts, lengths = network._scan_lines(chunk)
+        if view is None:
+            assert (lines, regular, starts, lengths) == (0, False, None, None)
+            continue
+        admitted.add(c)
+        assert lines == len(chunk.splitlines())
+        tokens = [chunk[a : a + k] for a, k in zip(starts.tolist(), lengths.tolist())]
+        assert tokens == chunk.split()
+    low = {c for c in admitted if c < 33}
+    assert low == {9, 10, 32}
+    assert admitted == low | set(range(33, 128))
+    assert all(chr(c).isspace() for c in low)
+    assert {c for c in low if chr(c) in _BREAK_CHARS} == {10}
+    known = {c for c in range(33) if chr(c).isspace() or chr(c) in _BREAK_CHARS}
+    assert known - low == {11, 12, 13, 28, 29, 30, 31}
 
 
 @st.composite
 def scan_chunks(draw):
     """An ASCII chunk as parse_network hands one to _scan_lines: lines of
     tokens, spaces and tabs, ended by any line break byte or, last, none;
-    with its carriage returns folded into '\\n'."""
+    with its carriage returns folded into '\\n'.  Half the chunks end
+    their lines in '\\n' or '\\r' only, and one in eight puts a control
+    byte into a gap or a token."""
     gap = st.text(" \t", min_size=1, max_size=3)
+    tokens = ["a", "v10", ":", "CG|CNO"]
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        gap = st.text(" \t\x1f", min_size=1, max_size=3)
+        tokens.append(draw(st.sampled_from(("\x00", "a\x01b", "\x1b", "x\x7f"))))
+    breaks = _BREAK_CHARS if draw(st.booleans()) else "\n\r"
     pieces = []
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
         n = draw(st.sampled_from((0, 4, 4, 4, 1, 3, 5, 8)))
         line = draw(st.text(" \t", max_size=2))
         for k in range(n):
-            line += (draw(gap) if k else "") + draw(st.sampled_from(("a", "v10", ":", "CG|CNO")))
-        pieces.append(line + draw(st.text(" \t", max_size=2)) + draw(st.sampled_from(_BREAK_CHARS)))
+            line += (draw(gap) if k else "") + draw(st.sampled_from(tokens))
+        pieces.append(line + draw(st.text(" \t", max_size=2)) + draw(st.sampled_from(breaks)))
     if draw(st.booleans()):
         pieces[-1] = pieces[-1][:-1]
     return "".join(pieces).replace("\r\n", "\n").replace("\r", "\n") or " "
@@ -510,8 +539,14 @@ def scan_chunks(draw):
 @settings(max_examples=400, deadline=None)
 @given(scan_chunks())
 @example("a b : CG c d : CG\ne f : CG\n ")  # 8 + 4 tokens and a line of spaces
+@example("a\tb\t:\tCG\n\t \t\nc  \t d :\t\tCG")  # tab-separated, a tab-only line
+@example("a b : CG\x0bc d : CG\n")  # '\v' ends a line; the chunk is refused
 def test_scan_lines_counts_and_tests_lines_as_str_splitlines(chunk):
-    lines, regular, _, starts, lengths = network._scan_lines(chunk)
+    lines, regular, view, starts, lengths = network._scan_lines(chunk)
+    assert (view is not None) == _admitted(chunk)
+    if view is None:
+        assert not regular
+        return
     assert lines == len(chunk.splitlines())
     assert regular == all(len(line.split()) in (0, 4) for line in chunk.splitlines())
     assert [chunk[s : s + k] for s, k in zip(starts.tolist(), lengths.tolist())] == chunk.split()
@@ -775,18 +810,25 @@ def test_parse_matches_the_line_loop_on_a_seeded_corpus(monkeypatch, chunk):
         assert _outcome(parse_network, text) == want, seed
 
 
+def _chunk_texts(text):
+    """The chunks parse_network reads text in, with the number of the first
+    line of each; the first chunk begins after the 'nodes:' line.  text
+    holds no carriage return, as parse_network has folded them."""
+    lines = text.splitlines(keepends=True)
+    nodes = next(k for k, line in enumerate(lines) if line.startswith("nodes:"))
+    chunks, pos, lineno = [], len("".join(lines[: nodes + 1])), nodes + 2
+    while pos < len(text):
+        end = network._chunk_end(text, pos)
+        chunks.append((lineno, text[pos:end]))
+        lineno += len(text[pos:end].splitlines())
+        pos = end
+    return chunks
+
+
 def _chunk_first_lines(text):
     """Number of the first line of each chunk parse_network reads text in;
     the first chunk begins after the 'nodes:' line."""
-    lines = text.splitlines(keepends=True)
-    nodes = next(k for k, line in enumerate(lines) if line.startswith("nodes:"))
-    firsts, pos, lineno = [], len("".join(lines[: nodes + 1])), nodes + 2
-    while pos < len(text):
-        end = network._chunk_end(text, pos)
-        firsts.append(lineno)
-        lineno += len(text[pos:end].splitlines())
-        pos = end
-    return firsts
+    return [lineno for lineno, _ in _chunk_texts(text)]
 
 
 def _chunk_lines(text):
@@ -889,7 +931,9 @@ def test_only_a_chunk_with_an_irregular_line_goes_through_the_grammar(
 def test_blank_lines_in_a_gen_network_are_read_in_bulk(monkeypatch, chunk):
     """Blank and whitespace-only lines fail the four-token test, so the
     tokens of a chunk that holds one are counted line by line; it is still
-    read in bulk.  A chunk of four-token lines is never counted."""
+    read in bulk.  A chunk of four-token lines is never counted.  A chunk
+    with a '\\v' or '\\f' in a blank line goes to the grammar instead;
+    with those bytes made spaces, every chunk is read in bulk."""
     net = random_network(200, 0.5, M99_PALETTE, rng=5)
     lines = serialize_network(net).splitlines()
     rng = random.Random(5)
@@ -905,11 +949,109 @@ def test_blank_lines_in_a_gen_network_are_read_in_bulk(monkeypatch, chunk):
     assert np.array_equal(parse_network(serialize_network(net)).to_array(), net.to_array())
     assert counted == []
     got = parse_network(text)
-    assert calls == []
     assert got.names == want.names and np.array_equal(got.to_array(), want.to_array())
     assert np.array_equal(got.to_array(), net.to_array())
-    blank = [k for k, line in enumerate(lines, 1) if not line.split()]
-    assert len(counted) == sum(any(k in c for k in blank) for c in _chunk_lines(text)) > 0
+    chunks = [(c, "\x0b" in t) for c, (_, t) in zip(_chunk_lines(text), _chunk_texts(text))]
+    assert calls == [k for c, refused in chunks if refused for k in c]
+    assert calls
+    words = [len(line.split()) for line in text.splitlines()]
+    blank = [any(not words[k - 1] for k in c) for c, refused in chunks if not refused]
+    assert len(counted) == sum(blank)
+    counted.clear()
+    spaced = text.replace("\x0b", " ").replace("\x0c", " ")
+    got = parse_network(spaced)
+    assert calls == [k for c, refused in chunks if refused for k in c]  # no new call
+    assert np.array_equal(got.to_array(), net.to_array())
+    words = [len(line.split()) for line in spaced.splitlines()]
+    blank = [any(not words[k - 1] for k in c) for c in _chunk_lines(spaced)]
+    assert len(counted) == sum(blank) > 0
+
+
+def _with_byte(lines, byte, place):
+    """The text of lines with byte put in after the middle line: in a name
+    the 'nodes:' line declares and that line uses, on a blank line of its
+    own, or as that line's end."""
+    k = len(lines) // 2
+    lines = lines[:]
+    if place == "name":
+        name = f"w{byte}x"
+        lines[0] += f" {name}"
+        lines.insert(k, f"{name} v0 : CG|CNO")
+    elif place == "blank":
+        lines.insert(k, f" {byte} ")
+    else:
+        return "\n".join(lines[:k]) + byte + "\n".join(lines[k:]) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _bulk_chunk(chunk, names):
+    """True iff parse_network reads chunk in bulk: ASCII, no control byte
+    but tab and line feed, and every line blank or plain."""
+    return (
+        chunk.isascii()
+        and _admitted(chunk)
+        and all(_is_plain(line, names) for line in chunk.splitlines() if line.split())
+    )
+
+
+@pytest.mark.parametrize("place", ["name", "blank", "line-end"])
+@pytest.mark.parametrize("chunk", [network._CHUNK, 40], ids=["chunk-default", "chunk-40"])
+def test_a_control_byte_del_or_nel_reads_as_the_line_loop(monkeypatch, chunk, place):
+    """Each C0 byte, DEL and '\\x85', in a name, on a blank line or as a
+    line end, gives the line loop's matrix, error and line number.  Every
+    chunk that holds a byte the bulk scan refuses goes to the grammar, and
+    every other chunk up to the first error is read in bulk."""
+    # Two chunks of the default size, or many of 40 characters.
+    net = random_network(120 if chunk == network._CHUNK else 40, 0.5, M99_PALETTE, rng=17)
+    lines = serialize_network(net).splitlines()
+    monkeypatch.setattr(network, "_CHUNK", chunk)
+    assert len(_chunk_texts("\n".join(lines) + "\n")) > 1
+    calls = _spy_parse_line(monkeypatch)
+    outcomes, bulk = set(), ""  # bulk: the bytes whose text met no grammar
+    for byte in [*map(chr, range(32)), "\x7f", "\x85"]:
+        text = _with_byte(lines, byte, place)
+        want = _outcome(reference_parse_network, text)
+        calls.clear()
+        assert _outcome(parse_network, text) == want, repr(byte)
+        outcomes.add(len(want))
+        folded = text.replace("\r\n", "\n").replace("\r", "\n")
+        names = set(folded.splitlines()[0].split()[1:])
+        last = want[2] if len(want) == 3 else len(folded.splitlines())
+        grammar = [
+            k
+            for c, (_, t) in zip(_chunk_lines(folded), _chunk_texts(folded))
+            if not _bulk_chunk(t, names)
+            for k in c
+            if k <= last
+        ]
+        assert calls == grammar, repr(byte)
+        if not calls:
+            bulk += byte
+    assert outcomes == {2, 3}  # valid texts and errors
+    # DEL is a name byte; of the bytes below ' ', a blank line holds a tab,
+    # and a line ends in a line feed or, folded into one, a carriage return.
+    assert bulk == {"name": "\x7f", "blank": "\t\n\r", "line-end": "\n\r"}[place]
+
+
+@pytest.mark.parametrize("gaps", ["tabs", "runs"])
+@pytest.mark.parametrize("chunk", [network._CHUNK, 40], ids=["chunk-default", "chunk-40"])
+def test_a_gen_network_separated_by_tabs_is_read_in_bulk(monkeypatch, chunk, gaps):
+    """Tabs, or runs of spaces and tabs, between the tokens of a gen
+    network keep every chunk in bulk, with no line counted."""
+    net = random_network(200, 0.5, M99_PALETTE, rng=19)
+    lines = serialize_network(net).splitlines()
+    seps = {"tabs": ("\t",), "runs": (" \t", "\t\t", "  \t ", "\t ")}[gaps]
+    rng = random.Random(19)
+    body = ["".join(rng.choice(seps) + t for t in line.split()) for line in lines[1:]]
+    assert (gaps == "tabs") == (" " not in "".join(body))
+    monkeypatch.setattr(network, "_CHUNK", chunk)
+    calls = _spy_parse_line(monkeypatch)
+    counted = []  # one entry per chunk whose tokens were counted line by line
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *args: counted.append(0) or searchsorted(*args))
+    got = parse_network("\n".join([lines[0], *body]) + "\n")
+    assert np.array_equal(got.to_array(), net.to_array())
+    assert calls == [] and counted == []
 
 
 @pytest.mark.parametrize("twice", ["equal", "all-first", "all-second"])
@@ -995,7 +1137,9 @@ _LINE_TEST_TEXTS = {
     "eight-four-space-at-the-end": lambda lines: (
         "\n".join([*lines, "v0 v1 : CG v2 v3 : CG", "v4 v5 : CG"]) + "\n "
     ),
-    # '\v' is a line break to str.splitlines: "v0" and "v1 : CG" are two lines.
+    # '\v' is a line break to str.splitlines: "v0" and "v1 : CG" are two
+    # lines, the first of them an error.  The chunk goes to the grammar
+    # unscanned.
     "vt-between-names": lambda lines: "\n".join(
         [*lines[: len(lines) // 2], "v0\x0bv1 : CG", *lines[len(lines) // 2 :]]
     ) + "\n",
@@ -1012,12 +1156,14 @@ def test_lines_are_counted_only_in_chunks_that_fail_the_line_test(monkeypatch, c
     first fourth tokens is followed by one; only a chunk that fails has its
     lines located and their tokens counted (np.searchsorted).  It fails
     exactly when some line holds other than four tokens, and the text
-    reads as by the line loop, matrix, error and line number."""
+    reads as by the line loop, matrix, error and line number.  A chunk
+    with a '\\v' is not scanned: it goes to the grammar, uncounted."""
     net = random_network(200, 0.5, M99_PALETTE, rng=13)
     lines = serialize_network(net).splitlines()
     text = _LINE_TEST_TEXTS[case](lines)
     want = _outcome(reference_parse_network, text)
     monkeypatch.setattr(network, "_CHUNK", chunk)
+    calls = _spy_parse_line(monkeypatch)
     counted = []  # one entry per chunk whose tokens were counted line by line
     searchsorted = np.searchsorted
     monkeypatch.setattr(np, "searchsorted", lambda *args: counted.append(0) or searchsorted(*args))
@@ -1027,9 +1173,14 @@ def test_lines_are_counted_only_in_chunks_that_fail_the_line_test(monkeypatch, c
     # Chunks past the first error are never scanned.
     last = want[2] if len(want) == 3 else len(text.splitlines())
     words = [len(line.split()) for line in text.splitlines()]
-    failing = [any(words[k - 1] != 4 for k in c) for c in _chunk_lines(text) if c[0] <= last]
+    chunks = [(c, _admitted(t)) for c, (_, t) in zip(_chunk_lines(text), _chunk_texts(text))]
+    failing = [any(words[k - 1] != 4 for k in c) for c, ok in chunks if c[0] <= last and ok]
     assert len(counted) == sum(failing)
-    assert bool(counted) == (case != "no-final-newline")
+    assert bool(counted) == (case not in ("no-final-newline", "vt-between-names"))
+    refused = [c for c, ok in chunks if not ok]
+    assert len(refused) == (case == "vt-between-names")
+    if refused:
+        assert calls == [*range(refused[0][0], last + 1)]
     if case == "blank-chunk":
         assert any(not any(words[k - 1] for k in c) for c in _chunk_lines(text))
 
@@ -1074,11 +1225,27 @@ def test_chunks_end_at_a_lone_cr_and_never_inside_a_crlf(monkeypatch, chunk, eol
     assert exc.value.line == len(lines) + 1
 
 
+def _token_view(tokens):
+    """The view, starts and lengths that _scan_lines gives for the tokens
+    of an ASCII chunk, one token a line, built here from the tokens, so
+    that they may hold any name byte, control bytes included.  Where
+    _scan_lines scans the chunk, it gives the same."""
+    chunk = "\n".join(tokens)
+    raw = b" " + chunk.encode("ascii") + network._PAD
+    view = np.ndarray((len(raw) - 8,), "<u8", raw, 1, (1,))
+    lengths = np.array(list(map(len, tokens)), dtype=np.intp)
+    starts = np.cumsum(lengths + 1) - lengths - 1
+    if _admitted(chunk):
+        _, _, scanned, *tokens_at = network._scan_lines(chunk)
+        assert scanned.tobytes() == view.tobytes()
+        assert [a.tolist() for a in tokens_at] == [starts.tolist(), lengths.tolist()]
+    return view, starts, lengths
+
+
 def _table_lookup(table, tokens):
-    """table.get on the tokens, handed to it as parse_network does: scanned
-    in one chunk of their own, one token a line."""
-    _, _, view, starts, lengths = network._scan_lines("\n".join(tokens))
-    assert len(starts) == len(tokens)
+    """table.get on the tokens, handed to it as parse_network does: in one
+    chunk of their own, one token a line."""
+    view, starts, lengths = _token_view(tokens)
     key0 = network._token_keys(view, starts, lengths, 1)[0]
     return table.get(key0, view, starts, lengths)
 
@@ -1109,7 +1276,7 @@ def test_byte_table_finds_its_keys_and_nothing_else(n_keys):
     table = network._ByteTable(keys, np.intp)
     assert table.words == 4
     if n_keys > len(sizes):
-        found = network._token_keys(*network._scan_lines(" ".join(keys))[2:], table.words)
+        found = network._token_keys(*_token_view(list(keys)), table.words)
         home = table._hash(found) >> table.shift
         assert len(np.unique(home)) < len(keys)  # keys share home slots
     got = _table_lookup(table, list(keys))

@@ -233,7 +233,7 @@ def test_first_upper_pair_reads_every_caller_mask_as_the_loop_does():
                 masks.append((m & int(core) != int(core)) & off_diagonal[:n, :n])
             for kinds in (_M99_KINDS, _M81_KINDS):
                 k = kinds.take(m)
-                r = _closure((k & _LEQ) != 0)
+                r = reach_of((k & _LEQ) != 0)
                 masks.append(((k & _NLE) != 0) & r & r.T)
             for mask in masks:
                 assert np.array_equal(mask, mask.T)
@@ -1011,6 +1011,12 @@ def reference_reach(arcs, n):
     return out
 
 
+def reach_of(leq):
+    """_closure(leq) as a matrix: all ones where _closure returns None."""
+    r = _closure(leq)
+    return np.ones_like(leq) if r is None else r
+
+
 def closure_of(n, arcs):
     leq = np.eye(n, dtype=bool)
     for u, v in arcs:
@@ -1040,7 +1046,9 @@ def test_closure_matches_the_set_reference(n):
         expected = np.zeros((n, n), dtype=bool)
         for u, seen in enumerate(reach):
             expected[u, list(seen)] = True
-        assert np.array_equal(_closure(leq), expected)
+        r = _closure(leq)
+        assert (r is None) == expected.all()
+        assert np.array_equal(reach_of(leq), expected)
 
 
 def test_closure_follows_chains_within_and_across_blocks():
@@ -1058,7 +1066,7 @@ def test_closure_stops_only_on_an_all_ones_matrix():
     # own block: the first for hub 3, the third for hub 20.
     for hub in (3, 20):
         arcs = [(hub, v) for v in range(30)] + [(v, hub) for v in range(30)]
-        assert closure_of(30, arcs).all()
+        assert closure_of(30, arcs) is None
     # Row 0 is full from the start, while v29 -> v28 -> ... -> v1 needs
     # every block.
     order = list(range(29, 0, -1))
@@ -1082,7 +1090,9 @@ def test_closure_matches_a_numpy_warshall(n):
     for p in (1.5 / n, 0.3):
         leq = rng.random((n, n)) < p
         np.fill_diagonal(leq, True)
-        assert np.array_equal(_closure(leq), numpy_warshall(leq))
+        expected = numpy_warshall(leq)
+        assert (_closure(leq) is None) == expected.all()
+        assert np.array_equal(reach_of(leq), expected)
 
 
 def test_closure_stops_at_a_late_block():
@@ -1097,7 +1107,7 @@ def test_closure_stops_at_a_late_block():
     for k in range(8 * (hub // 8)):
         before_hub |= before_hub[:, k, None] & before_hub[k]
     assert not before_hub.all()
-    assert _closure(leq).all()
+    assert _closure(leq) is None
 
 
 def reference_detect(g, names, *, rounds=False):
@@ -1148,6 +1158,42 @@ def test_detect_matches_the_set_reference():
             collapsed += all(len(r) == n for r in reference_reach(leq_arcs, n))
     assert verdicts == {True, False}
     assert collapsed
+
+
+def test_a_closure_that_fills_the_matrix_gives_the_firing_answer(monkeypatch):
+    """Dense M99 and M81 networks whose LEQ closure is all ones are
+    answered without firing: the same verdict and witness as the set
+    reference and as firing from the all-ones reach matrix, a chord that
+    is the first NLE pair and a cycle of every name in index order.  An
+    all-CG network is consistent."""
+    rng = np.random.default_rng(8)
+    fills = []
+    for catalog, to_gadget in ((M99, to_gadget_m99), (M81, to_gadget_m81)):
+        palette = tuple(r for r in catalog if r not in (EMPTY, UNIVERSAL))
+        for n in (2, 3, 9, 17, 40, 130):
+            for density in (0.9, 1.0):
+                net = random_network(n, density, palette, rng=rng)
+                g = to_gadget(net)
+                if _closure(g.leq) is not None:
+                    continue
+                fills.append(n)
+                got = detect_m99(g, net.names)
+                assert got == reference_detect(g, net.names)
+                with monkeypatch.context() as m:
+                    m.setattr("mc4.solvers._closure", np.ones_like)
+                    assert detect_m99(g, net.names) == got
+                if got[0]:
+                    assert not g.nle.any()
+                    continue
+                u, v = map(net.names.index, got[1]["chord"])
+                assert (u, v) == divmod(int(np.flatnonzero(g.nle).min()), n)
+                assert got[1]["cycle"] == list(net.names)
+    assert max(fills) == 130
+    all_cg = net_of(50, [(i, j, CG) for i in range(50) for j in range(i + 1, 50)])
+    for to_gadget in (to_gadget_m99, to_gadget_m81):
+        g = to_gadget(all_cg)
+        assert _closure(g.leq) is None
+        assert detect_m99(g, all_cg.names) == (True, None)
 
 
 def tightened(net, hidden, rng):
@@ -1253,6 +1299,15 @@ def test_is_valid_scenario_rejects_wrong_shapes():
         assert not is_valid_scenario(net_of(2, []), Scenario((pair,)))
     assert good.pairs[1] == (0, 2, 1)
     assert not is_valid_scenario(net, Scenario((good.pairs[0], (0, 2, True), good.pairs[2])))
+
+
+def test_is_valid_scenario_when_the_closure_fills_the_matrix():
+    # All CG: L is full, a preorder.  The cycle v0 < v1 < v2 < v0 closes
+    # L to all ones, so L is no preorder.
+    cg = Scenario(((0, 1, 1), (0, 2, 1), (1, 2, 1)))
+    assert _closure(np.ones((3, 3), dtype=bool)) is None
+    assert is_valid_scenario(net_of(3, []), cg)
+    assert not is_valid_scenario(net_of(3, []), Scenario(((0, 1, 2), (0, 2, 4), (1, 2, 2))))
 
 
 def valid_by_intersection_and_closure(net, scenario):
