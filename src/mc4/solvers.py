@@ -9,17 +9,19 @@ spectrum of label profiles:
   on any profile, exponential, and capped at a handful of vertices; it is
   the ground truth everything else is compared against.
 - solve_backtracking: path consistency plus branching on the two labels
-  outside M99 (CGPP|CGPPi and CG|CGPP|CGPPi).  Path consistency runs from
-  every vertex at the root; after that each branch copies its parent's
-  label matrix and propagates from the two ends of the pair it narrowed,
-  with the same pivot sweeps.  The branch pair is the first label outside
-  M99 in row-major order over the upper triangle of the node's label
-  matrix; a node with no such label is a leaf: path consistency decides
-  M99, so a leaf is consistent, and its scenario is read from its labels.
-  Complete on any profile.
+  outside M99 (CGPP|CGPPi and CG|CGPP|CGPPi), each split into its part in
+  LEQ, then the rest.  Path consistency runs from every vertex at the
+  root; after that each branch copies its parent's label matrix and
+  propagates from the two ends of the pair it narrowed, with the same
+  pivot sweeps.  The branch pair is the first label outside M99 in
+  row-major order over the upper triangle of the node's label matrix; a
+  node with no such label is a leaf: path consistency decides M99, so a
+  leaf is consistent, and its scenario is read from its labels.  Complete
+  on any profile.
 - solve_trivial_core: profiles whose every label is NONE or contains a
-  fixed core (CG, CNO, or CGPP|CGPPi).  Consistency is the absence of an
-  explicit NONE label, and a one-shape canonical scenario always works.
+  core of mc4.subalgebra's trivial-core table (CG, CNO, or CGPP|CGPPi).
+  Consistency is the absence of an explicit NONE label, and the scenario
+  that gives every pair the core's lowest base case always works.
 - solve_m99 / solve_m81: polynomial deciders for the two maximal non-trivial
   tractable subalgebras.  Each label is translated, on the network's own
   vertices, into primitive constraints — directed "fits inside or
@@ -74,7 +76,7 @@ from .network import (
     _propagate,
     path_consistency,
 )
-from .subalgebra import EQX, LEQ, M81, M99, NLE, Kind, TractabilityClass, classify
+from .subalgebra import _TRIVIAL_CORES, EQX, LEQ, M81, M99, NLE, Kind, TractabilityClass, classify
 
 BASIC_CODES = (1, 2, 4, 8)
 
@@ -95,17 +97,12 @@ def _kinds(r: Relation, catalog: RelationSet) -> int:
 _M99_KINDS = np.array([_kinds(r, M99) for r in _RELATIONS], dtype=np.uint8)
 _M81_KINDS = np.array([_kinds(r, M81) for r in _RELATIONS], dtype=np.uint8)
 
-# The two labels outside M99 -> the M99 labels the search splits them into.
-_M99_SPLITS = {6: (2, 4), 7: (3, 4)}
-
-# Relation code -> whether it is one of those two labels.
-_OUTSIDE_M99 = np.isin(np.arange(16), tuple(_M99_SPLITS))
+# Relation code -> whether the label lies outside M99, where the search
+# branches: CGPP|CGPPi and CG|CGPP|CGPPi.
+_OUTSIDE_M99 = (_M99_KINDS & _REJECT) != 0
 
 # Label of a search leaf (no NONE, 6 or 7) -> the base case its scenario takes.
 _LEAF_ATOM = np.array([0, 1, 2, 2, 4, 4, 0, 0, 8, 8, 8, 8, 8, 8, 8, 8], dtype=np.uint8)
-
-# Trivial core -> the base case every pair takes in its canonical scenario.
-_TRIVIAL_CORES = {Relation.CG: 1, Relation.CNO: 8, Relation.CGPP | Relation.CGPPI: 2}
 
 
 class ProfileError(ValueError):
@@ -303,13 +300,13 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
 
     Answers a NONE label of the input first, like every decider, then runs
     full path consistency once, at the root: a root it rejects is a search
-    exhausted before its first commitment, with explored 0.  Only
-    CGPP|CGPPi and CG|CGPP|CGPPi fall outside M99, so the search branches
-    only on those: on the first such label in row-major order over the
-    upper triangle of the node's label matrix (both are self-converse and
-    the diagonal holds CG, so their mask is symmetric with a clear
-    diagonal, as _first_upper_pair needs), trying CGPP then CGPPi for the
-    first and CG|CGPP then CGPPi for the second.  After each commitment it
+    exhausted before its first commitment, with explored 0.  The search
+    branches only on labels outside M99, as _M99_KINDS marks them
+    (CGPP|CGPPi and CG|CGPP|CGPPi): on the first such label r in row-major
+    order over the upper triangle of the node's label matrix (both are
+    self-converse and the diagonal holds CG, so their mask is symmetric
+    with a clear diagonal, as _first_upper_pair needs), trying r & LEQ,
+    then r & ~LEQ, both M99 labels.  After each commitment it
     propagates only from the pair it narrowed: the parent is at the
     path-consistency fixpoint, so only the constraints through that pair's
     two ends can break, and _propagate pivots on those two vertices first.
@@ -330,6 +327,7 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
         return SolveOutcome(False, "backtracking", witness=witness)
     ok, refined = path_consistency(net)
     m = refined._m
+    leq = int(LEQ)
     explored = 0
     # ok: the node m survived propagation, so it branches or is a leaf.
     todo: list[tuple[np.ndarray, tuple[int, int], int]] = []
@@ -339,7 +337,8 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
             if pair is None:
                 scenario = _scenario_of(_LEAF_ATOM[m].tolist())
                 return SolveOutcome(True, "backtracking", scenario=scenario)
-            todo += [(m, pair, v) for v in reversed(_M99_SPLITS[m[pair]])]
+            r = int(m[pair])
+            todo += [(m, pair, r & ~leq), (m, pair, r & leq)]
         parent, (i, j), v = todo.pop()
         explored += 1
         m = parent.copy()
@@ -363,11 +362,13 @@ def solve_trivial_core(net: ConstraintNetwork, core: Relation) -> SolveOutcome:
 
     For such profiles an explicit NONE label is the only possible
     contradiction, answered first: otherwise a single canonical scenario
-    satisfies every constraint at once (all pairs CG, all pairs CNO, or a
-    containment chain along the vertex order for the CGPP|CGPPi core).
+    satisfies every constraint at once: every pair takes the lowest base
+    case of the core (all pairs CG, all pairs CNO, or a containment chain
+    along the vertex order for the CGPP|CGPPi core).
 
     Raises:
-        ValueError: if core is not one of CG, CNO, CGPP|CGPPi.
+        ValueError: if core is not a core of mc4.subalgebra's trivial-core
+            table (CG, CNO, CGPP|CGPPi).
         ProfileError: if no label is NONE and some label is not a superset
             of core.
     """
@@ -380,7 +381,7 @@ def solve_trivial_core(net: ConstraintNetwork, core: Relation) -> SolveOutcome:
     np.fill_diagonal(bad, False)  # CG holds neither CNO nor CGPP|CGPPi
     _check_profile(net, bad, reason)
     n = len(net)
-    row = [_TRIVIAL_CORES[core]] * n
+    row = [int(core) & -int(core)] * n
     return SolveOutcome(True, "trivial-core", scenario=_scenario_of([row] * n))
 
 

@@ -8,9 +8,10 @@ UNIVERSAL, the two relations every constraint network can surface.
 
 The module builds the five catalog subalgebras:
 
-- M72: every relation containing CG, plus EMPTY (9 relations).
-- M78: every relation containing CNO, plus EMPTY (9 relations).
-- M31: every relation containing both CGPP and CGPPI, plus EMPTY (5).
+- M72, M78 and M31, the trivial-core catalogs, from one table that maps
+  each core (CG, CNO and CGPP|CGPPi) to EMPTY plus every relation holding
+  it (9, 9 and 5 relations).  classify and mc4.solvers.solve_trivial_core
+  read the cores from the same table.
 - M99: closure of the generators {LEQ, EQX, NLE} (14 relations).
 - M81: closure of the generators {LEQ, BSY, NLE} (10 relations).
 
@@ -76,14 +77,23 @@ def _one_step(mask: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+# Mask -> its closure, for every mask a chase has met on its chain.
+_CLOSURE: dict[int, int] = {}
+
+
 def _closure_mask(mask: int) -> int:
+    chain = []
     cur = mask
-    while True:
+    while cur not in _CLOSURE:
+        chain.append(cur)
         nxt = _one_step(cur)
         if nxt == cur:
-            return cur
+            break
         cur = nxt
+    value = _CLOSURE.get(cur, cur)
+    for m in chain:
+        _CLOSURE[m] = value
+    return value
 
 
 def closure(s: RelationSet) -> RelationSet:
@@ -103,9 +113,13 @@ def is_closed(s: RelationSet) -> bool:
 # Catalog subalgebras
 # ---------------------------------------------------------------------------
 
-M72 = RelationSet(sum(1 << c for c in range(16) if c & 1 or c == 0))
-M78 = RelationSet(sum(1 << c for c in range(16) if c & 8 or c == 0))
-M31 = RelationSet(sum(1 << c for c in range(16) if (c & 6) == 6 or c == 0))
+# Trivial core -> its catalog: EMPTY plus every relation holding the core.
+# The order is classify's precedence.
+_TRIVIAL_CORES = {
+    core: RelationSet(1 | sum(1 << c for c in range(16) if c & core == core))
+    for core in (Relation.CG, Relation.CNO, Relation.CGPP | Relation.CGPPI)
+}
+M72, M78, M31 = _TRIVIAL_CORES.values()
 M99 = closure(G99)
 M81 = closure(G81)
 
@@ -156,29 +170,13 @@ def enumerate_expressive() -> tuple[RelationSet, ...]:
 def enumerate_expressive_by_closure() -> tuple[RelationSet, ...]:
     """Independent enumeration route: close every subset and collect fixpoints.
 
-    Deliberately naive (no stability shortcut): for each of the 65,536
-    subsets the closure is chased to its fixpoint, with memoization on the
-    chain.  The distinct expressive fixpoints must equal the stability
-    scan of enumerate_expressive exactly.
+    Deliberately naive (no stability shortcut): each of the 65,536 subsets
+    is closed by _closure_mask, the chase behind closure, classify and
+    maximality_check.  The distinct expressive fixpoints must equal the
+    stability scan of enumerate_expressive exactly, which checks it too.
     """
-    cache: dict[int, int] = {}
-    fixpoints: set[int] = set()
-    for mask in range(1 << 16):
-        chain = []
-        cur = mask
-        while cur not in cache:
-            nxt = _one_step(cur)
-            if nxt == cur:
-                cache[cur] = cur
-                break
-            chain.append(cur)
-            cur = nxt
-        value = cache[cur]
-        for m in chain:
-            cache[m] = value
-        if value & _EXPRESSIVE_MASK == _EXPRESSIVE_MASK:
-            fixpoints.add(value)
-    return _canonical_order(fixpoints)
+    fixpoints = {_closure_mask(mask) for mask in range(1 << 16)}
+    return _canonical_order(m for m in fixpoints if m & _EXPRESSIVE_MASK == _EXPRESSIVE_MASK)
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +213,14 @@ def classify(s: RelationSet) -> TractabilityClass:
     """Cheapest decision procedure covering the closure of s.
 
     The closure is seeded with EMPTY and UNIVERSAL, then matched in fixed
-    precedence order: the three trivial-core families, M99, M81, then the
-    NP-hard pattern; anything else is UNCLASSIFIED (the enumeration proves
-    that case never arises).
+    precedence order: the trivial-core catalogs in table order, M99, M81,
+    then the NP-hard pattern; anything else is UNCLASSIFIED (the
+    enumeration proves that case never arises).
     """
     c = RelationSet(_closure_mask(s.mask | _EXPRESSIVE_MASK))
-    if c <= M72:
-        return TractabilityClass(Kind.TRIVIAL_CORE, Relation.CG)
-    if c <= M78:
-        return TractabilityClass(Kind.TRIVIAL_CORE, Relation.CNO)
-    if c <= M31:
-        return TractabilityClass(Kind.TRIVIAL_CORE, Relation.CGPP | Relation.CGPPI)
+    for core, catalog in _TRIVIAL_CORES.items():
+        if c <= catalog:
+            return TractabilityClass(Kind.TRIVIAL_CORE, core)
     if c <= M99:
         return TractabilityClass(Kind.MAX_M99)
     if c <= M81:

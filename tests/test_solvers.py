@@ -28,7 +28,6 @@ from mc4.solvers import (
     _NLE,
     _OUTSIDE_M99,
     _REJECT,
-    _TRIVIAL_CORES,
     GadgetGraph,
     ProfileError,
     Scenario,
@@ -47,7 +46,7 @@ from mc4.solvers import (
     to_gadget_m81,
     to_gadget_m99,
 )
-from mc4.subalgebra import M72, M81, M99, Kind
+from mc4.subalgebra import _TRIVIAL_CORES, LEQ, M31, M72, M78, M81, M99, Kind
 
 CG = Relation.CG
 CGPP = Relation.CGPP
@@ -486,6 +485,20 @@ def test_backtracking_decides_the_hard_cgpp_cgppi_cno_instance():
     assert out.witness == {"type": "search_exhausted", "explored": 266}
 
 
+def test_search_splits_each_label_outside_m99_into_two_m99_labels():
+    # _OUTSIDE_M99 is read off _M99_KINDS, and the search tries r & LEQ,
+    # then r & ~LEQ.  The accepting leaves that
+    # test_backtracking_matches_the_full_path_consistency_search compares
+    # hang on that order; an exhausted search's explored count does not,
+    # as it tries every child.
+    outside = np.flatnonzero(_OUTSIDE_M99).tolist()
+    assert outside == [6, 7]
+    for r in outside:
+        halves = (r & int(LEQ), r & ~int(LEQ))
+        assert all(h != EMPTY and Relation(h) in M99 for h in halves)
+        assert halves[0] | halves[1] == r
+
+
 def test_backtracking_search_runs_deeper_than_the_recursion_limit():
     # 120 vertices at density 0.15 over CGPP|CGPPi, with (v0, v1) narrowed
     # to CNO: the accepting path commits on more pairs than Python's default
@@ -655,6 +668,16 @@ def test_trivial_core_accepts_and_produces_canonical_scenarios():
         assert out.consistent and out.solver == "trivial-core"
         assert is_valid_scenario(net, out.scenario)
         assert all(code == int(fill) for _, _, code in out.scenario.pairs)
+
+
+def test_trivial_core_table_gives_the_catalogs_and_canonical_atoms():
+    # One table defines M72, M78 and M31, classify's order, and the lowest
+    # base case of each core, which solve_trivial_core gives every pair.
+    assert list(_TRIVIAL_CORES) == [CG, CNO, CGPP | CGPPI]
+    assert list(_TRIVIAL_CORES.values()) == [M72, M78, M31]
+    for core, atom in zip(_TRIVIAL_CORES, (CG, CNO, CGPP)):
+        out = solve_trivial_core(net_of(3, []), core)
+        assert {code for _, _, code in out.scenario.pairs} == {int(atom)}
 
 
 def test_trivial_core_inconsistent_only_on_explicit_bottom():

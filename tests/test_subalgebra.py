@@ -1,11 +1,14 @@
 """Closure, enumeration, catalogs and classification of subalgebras."""
 
+import operator
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mc4 import subalgebra
-from mc4.algebra import EMPTY, UNIVERSAL, Relation, RelationSet
+from mc4.algebra import EMPTY, UNIVERSAL, Relation, RelationSet, compose, converse
 from mc4.subalgebra import (
     BSY,
     EQX,
@@ -120,6 +123,27 @@ def test_closure_is_monotone(mask_a, mask_b):
     small = RelationSet(mask_a & mask_b)
     big = RelationSet(mask_a | mask_b)
     assert closure(small) <= closure(big)
+
+
+def set_closure(relations):
+    """Closure of a set of relations, grown as a Python set to its fixpoint."""
+    closed = set(relations)
+    while True:
+        grown = closed | {converse(r) for r in closed}
+        grown |= {op(r, s) for r in closed for s in closed for op in (compose, operator.and_)}
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+def test_closure_mask_matches_a_set_based_closure():
+    rng = np.random.default_rng(38)
+    masks = [0, 1, 1 << 15, 0xFFFF, G99.mask, G81.mask]
+    masks += rng.integers(0, 1 << 16, size=300).tolist()
+    for mask in masks + masks:  # the second pass reads the memo
+        members = {Relation(c) for c in range(16) if mask >> c & 1}
+        expected = sum(1 << int(r) for r in set_closure(members))
+        assert subalgebra._closure_mask(mask) == expected
 
 
 # ---------------------------------------------------------------------------
