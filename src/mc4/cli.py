@@ -36,7 +36,15 @@ from .algebra import (
     format_relation,
     parse_relation,
 )
-from .network import _FORMAT, ConstraintNetwork, parse_network, random_network, serialize_network
+from .network import (
+    _FORMAT,
+    ConstraintNetwork,
+    _pair_rows,
+    _upper_triangle,
+    parse_network,
+    random_network,
+    serialize_network,
+)
 from .rcc5 import Rcc5, convert_scenario, envelope, format_rcc5, lift, to_rcc5
 from .solvers import (
     Scenario,
@@ -141,23 +149,42 @@ _FORCED_SOLVERS = {
 }
 
 
-def _write_pairs(
-    names: tuple[str, ...], scenario: Scenario, rhs: tuple[str, ...], indent: str
-) -> None:
-    """Write one line per scenario pair to stdout: indent, the two names,
-    then rhs[code], the right-hand side of the pair's code."""
-    sys.stdout.write(
-        "".join(f"{indent}{names[i]} {names[j]}{rhs[c]}\n" for i, j, c in scenario.pairs)
+# The JSON text of a scenario code, closing its triple, by code up to
+# RCC-5's DR, 16.
+_JSON_CODES = np.array([f"{code}]" for code in range(17)], dtype=object)
+# The right-hand side of a converted scenario's line, by RCC-5 code.
+_RCC5_FORMAT = np.array([" : " + format_rcc5(Rcc5(code)) for code in range(17)], dtype=object)
+
+
+def _scenario_lines(
+    names: tuple[str, ...], scenario: Scenario, rhs: np.ndarray, indent: str
+) -> str:
+    """One line per scenario pair: indent, the two names, then rhs[code],
+    the right-hand side of the pair's code; each line ends in '\\n'."""
+    heads = [indent + name + " " for name in names]
+    codes = scenario.codes
+    rows = _pair_rows(heads, names, rhs, codes, _upper_triangle(len(codes)), "\n")
+    return "".join(row + "\n" for row in rows)
+
+
+def _scenario_json(scenario: Scenario) -> str:
+    """json.dumps(scenario.as_json()), written by rows from the code matrix."""
+    codes = scenario.codes
+    index = [f"{k}, " for k in range(len(codes))]
+    heads = ["[" + k for k in index]
+    rows = _pair_rows(heads, index, _JSON_CODES, codes, _upper_triangle(len(codes)), ", ")
+    return '{"pairs": [' + ", ".join(rows) + "]}"
+
+
+def _verdict_json(out: SolveOutcome) -> str:
+    """The --json verdict: json.dumps of consistent, solver and witness,
+    with the scenario between the last two, as json.dumps of all four
+    would write them."""
+    scenario = "null" if out.scenario is None else _scenario_json(out.scenario)
+    return (
+        f'{{"consistent": {json.dumps(out.consistent)}, "solver": {json.dumps(out.solver)}, '
+        f'"scenario": {scenario}, "witness": {json.dumps(out.witness)}}}'
     )
-
-
-def _verdict_json(out: SolveOutcome) -> dict:
-    return {
-        "consistent": out.consistent,
-        "solver": out.solver,
-        "scenario": out.scenario.as_json() if out.scenario is not None else None,
-        "witness": out.witness,
-    }
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -167,12 +194,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         out = _FORCED_SOLVERS[args.solver](net)
     if args.json:
-        print(json.dumps(_verdict_json(out), check_circular=False))
+        print(_verdict_json(out))
     else:
         print(f"consistent: {'yes' if out.consistent else 'no'}")
         print(f"solver: {out.solver}")
         if out.scenario is not None:
-            _write_pairs(net.names, out.scenario, _FORMAT, "  ")
+            sys.stdout.write(_scenario_lines(net.names, out.scenario, _FORMAT, "  "))
         if out.witness is not None:
             print(f"witness: {json.dumps(out.witness)}")
     return 0 if out.consistent else 1
@@ -296,7 +323,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     out = solve(net)
     if not out.consistent:
         if args.json:
-            print(json.dumps(_verdict_json(out)))
+            print(_verdict_json(out))
         else:
             print("consistent: no")
             print(f"witness: {json.dumps(out.witness)}")
@@ -305,10 +332,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         out = solve_backtracking(net)
     scenario = convert_scenario(out.scenario)
     if args.json:
-        print(json.dumps(scenario.as_json()))
+        print(_scenario_json(scenario))
     else:
-        rhs = tuple(" : " + format_rcc5(Rcc5(code)) for code in range(32))
-        _write_pairs(net.names, scenario, rhs, "")
+        sys.stdout.write(_scenario_lines(net.names, scenario, _RCC5_FORMAT, ""))
     return 0
 
 

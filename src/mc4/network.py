@@ -61,8 +61,7 @@ _COMPOSE_ARR = np.array(_COMPOSE_CODE, dtype=np.uint8)
 _CONVERSE_ARR = np.array(_CONVERSE_CODE, dtype=np.uint8)
 _POPCOUNT_ARR = np.array(_POPCOUNT, dtype=np.uint8)
 # Right-hand side of a serialized constraint line, by relation code.
-_FORMAT = tuple(" : " + format_relation(r) for r in _RELATIONS)
-_FORMAT_ARR = np.array(_FORMAT, dtype=object)
+_FORMAT = np.array([" : " + format_relation(r) for r in _RELATIONS], dtype=object)
 _SPELLINGS = {format_relation(r): int(r) for r in _RELATIONS}
 
 
@@ -187,14 +186,18 @@ def _propagate(m: np.ndarray, pivots: Sequence[int]) -> bool:
     The next round's pivots are handed on as a list of Python ints: the
     sweep indexes m[:, k] and m[k] with each, and an int index costs less
     than a numpy scalar one, which counts on small networks, where a round
-    sweeps a handful of pivots over a matrix of a few hundred cells.
+    sweeps a handful of pivots over a matrix of a few hundred cells.  For
+    the same reason the NONE test counts nonzero cells and the pivots come
+    from np.logical_or.reduce: m.all() and .any(axis=0) pass through
+    numpy's Python-level reduction wrappers, several times slower on a
+    matrix of 400 cells.
     """
-    while m.all():
+    while np.count_nonzero(m) == m.size:
         if not len(pivots):
             return True
         before = m.copy()
         _pivot_sweep(m, pivots)
-        pivots = (m != before).any(axis=0).nonzero()[0].tolist()
+        pivots = np.logical_or.reduce(m != before, axis=0).nonzero()[0].tolist()
     return False
 
 
@@ -657,13 +660,7 @@ def serialize_network(net: ConstraintNetwork) -> str:
 
     Pairs are emitted in declaration order of their endpoints; ALL labels
     are omitted as they say nothing.  Round-trips through parse_network.
-
-    The lines are built a row at a time.  An object array holds the 16 * n
-    line tails, name j followed by a label's right-hand side, at 16 * j +
-    label; one take gathers the tail of every kept pair (i, j) in row-major
-    order, and one tolist hands them to Python.  Row i is then written as
-    one string, its tails joined behind the head "name_i ", so Python's
-    loop runs once per row, and no Python int is made for a pair.
+    _pair_rows writes the lines.
 
     Raises:
         ValueError: on a network with no vertices, on a contradicted
@@ -680,18 +677,46 @@ def serialize_network(net: ConstraintNetwork) -> str:
             raise ValueError(f"vertex name {name!r} cannot be serialized")
     m = net._m
     kept = (m != 15) & _upper_triangle(len(names))
-    flat = np.flatnonzero(kept)
-    tails = (np.array(names, dtype=object)[:, None] + _FORMAT_ARR).ravel()
-    pair_tails = tails.take(flat % len(names) * 16 + m.ravel().take(flat)).tolist()
-    ends = np.cumsum(kept.sum(axis=1)).tolist()
-    lines = ["nodes: " + " ".join(names)]
+    rows = _pair_rows([name + " " for name in names], names, _FORMAT, m, kept, "\n")
+    return "\n".join(["nodes: " + " ".join(names), *rows]) + "\n"
+
+
+def _pair_rows(
+    heads: Sequence[str],
+    names: Sequence[str],
+    rhs: np.ndarray,
+    codes: np.ndarray,
+    kept: np.ndarray,
+    sep: str,
+) -> list[str]:
+    """The pairs (i, j) that the n-by-n mask kept marks, in row-major
+    order, each written as heads[i] + names[j] + rhs[codes[i, j]]: one
+    string per row that holds a kept pair, its pairs joined by sep.  rhs
+    is an object array of strings that every code indexes.  Every pair
+    list mc4 prints is written here; the caller joins the rows, so a
+    large text is copied once more only where the caller adds to it.
+
+    An object array holds the n * len(rhs) tails, names[j] + rhs[code] at
+    len(rhs) * j + code; one take gathers the tail of every kept pair in
+    row-major order, and one tolist hands them to Python.  Row i is then
+    written as one string, its tails joined behind heads[i] with sep, so
+    Python's loop runs once per row, and no Python int is made for a
+    pair.  Only numpy's C methods and ufuncs run, none of its Python-level
+    wrappers (np.flatnonzero, np.count_nonzero, np.cumsum), which cost
+    most on a small scenario.
+    """
+    n, width = len(names), len(rhs)
+    tails = (np.array(names, dtype=object)[:, None] + rhs).ravel()
+    flat = kept.ravel().nonzero()[0]
+    pair_tails = tails.take(flat % n * width + codes.ravel().take(flat)).tolist()
+    rows = []
     start = 0
-    for name, end in zip(names, ends):
-        if end > start:
-            head = name + " "
-            lines.append(head + ("\n" + head).join(pair_tails[start:end]))
+    for head, count in zip(heads, np.add.reduce(kept, axis=1).tolist()):
+        if count:
+            end = start + count
+            rows.append(head + (sep + head).join(pair_tails[start:end]))
             start = end
-    return "\n".join(lines) + "\n"
+    return rows
 
 
 # ---------------------------------------------------------------------------

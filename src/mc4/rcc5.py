@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import enum
 
+import numpy as np
+
 from .algebra import _RELATIONS, EMPTY, UNIVERSAL, Relation, _format_mask
 from .solvers import Scenario
 
@@ -80,8 +82,9 @@ def to_rcc5(r: Relation) -> Rcc5:
     return _union(_TO_RCC5, r, RCC5_EMPTY)
 
 
-# int(to_rcc5(r)) by MC-4 code, so a scenario converts with one lookup per pair.
-_RCC5_CODE = tuple(int(to_rcc5(r)) for r in _RELATIONS)
+# int(to_rcc5(r)) by MC-4 code, so a scenario's code matrix converts with
+# one take.
+_RCC5_CODE = np.array([int(to_rcc5(r)) for r in _RELATIONS], dtype=np.uint8)
 
 
 def envelope(r: Relation) -> Rcc5:
@@ -107,5 +110,9 @@ def format_rcc5(s: Rcc5) -> str:
 def convert_scenario(scenario: Scenario) -> Scenario:
     """RCC-5 scenario induced by an MC-4 scenario's witnessing placements:
     the same pairs in the same Scenario type, each MC-4 code mapped to its
-    RCC-5 image.  is_valid_scenario checks MC-4 scenarios, not these."""
-    return Scenario(tuple((i, j, _RCC5_CODE[code]) for i, j, code in scenario.pairs))
+    RCC-5 image (the converses below the diagonal to theirs, CG on it to
+    EQ).  A scenario of triples gives one of triples.  is_valid_scenario
+    checks MC-4 scenarios, not these."""
+    if scenario.codes is None:
+        return Scenario(tuple((i, j, int(_RCC5_CODE[c])) for i, j, c in scenario.pairs))
+    return Scenario.of_codes(_RCC5_CODE.take(scenario.codes))

@@ -53,7 +53,6 @@ needed at all.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -71,9 +70,9 @@ from .algebra import (
 )
 from .network import (
     _CONVERSE_ARR,
-    _POPCOUNT_ARR,
     ConstraintNetwork,
     _propagate,
+    _upper_triangle,
     path_consistency,
 )
 from .subalgebra import _TRIVIAL_CORES, EQX, LEQ, M81, M99, NLE, Kind, TractabilityClass, classify
@@ -109,15 +108,49 @@ class ProfileError(ValueError):
     """Raised when a network label falls outside the solver's subalgebra."""
 
 
-@dataclass(frozen=True)
 class Scenario:
-    """Full atomic assignment: one (i, j, code) triple per pair with i < j.
+    """Full atomic assignment: one base case per pair of vertices.
+
+    A scenario from a solver, or from Scenario.of_codes, is its code
+    matrix codes: codes[i, j] for i < j is the base case of the pair
+    (i, j), its converse sits at codes[j, i], and CG on the diagonal.
+    pairs, one (i, j, code) triple per pair with i < j in row-major order,
+    is read from the matrix the first time it is asked for.
+    Scenario(pairs) keeps the triples as given, for is_valid_scenario to
+    judge however malformed; its codes is None.
 
     The codes are MC-4 base cases from the solvers, or RCC-5 ones from
     mc4.rcc5.convert_scenario; is_valid_scenario checks MC-4 scenarios.
     """
 
-    pairs: tuple[tuple[int, int, int], ...]
+    __slots__ = ("codes", "_pairs")
+
+    def __init__(self, pairs: tuple[tuple[int, int, int], ...]):
+        self.codes: np.ndarray | None = None
+        self._pairs = pairs
+
+    @classmethod
+    def of_codes(cls, codes: np.ndarray) -> Scenario:
+        scenario = cls.__new__(cls)
+        scenario.codes = codes
+        scenario._pairs = None
+        return scenario
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int, int], ...]:
+        if self._pairs is None:
+            i, j = np.nonzero(_upper_triangle(len(self.codes)))
+            self._pairs = tuple(zip(i.tolist(), j.tolist(), self.codes[i, j].tolist()))
+        return self._pairs
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Scenario) and self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash(self.pairs)
+
+    def __repr__(self) -> str:
+        return f"Scenario(pairs={self.pairs!r})"
 
     def as_json(self) -> dict:
         return {"pairs": list(self.pairs)}
@@ -142,42 +175,58 @@ class SolveOutcome:
 
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
+# Byte -> whether it is an MC-4 base case.
+_IS_BASIC = np.isin(np.arange(256), BASIC_CODES)
 
-def is_valid_scenario(net: ConstraintNetwork, scenario: Scenario) -> bool:
-    """True iff scenario holds one integer triple per pair of net, refines
-    its labels, and is algebraically closed; False on any other input,
-    booleans included.
 
-    The pairs are scattered into an n-by-n code matrix c (converses below
-    the diagonal, CG on it), so a missing or duplicated pair leaves a NONE
-    behind.  An atomic network is closed exactly when its "fits inside or
-    congruent" relation L = (c in {CG, CGPP}) is a preorder.  L holds
-    every loop, so it is one exactly when _closure adds no arc to it; a
-    closure that fills the matrix adds none only to a full L.
-    """
-    n = len(net)
-    if len(scenario.pairs) != n * (n - 1) // 2:
-        return False
+def _scattered(pairs, n: int) -> np.ndarray | None:
+    """n-by-n code matrix of (i, j, code) triples: each code at (i, j), its
+    converse at (j, i), CG on the diagonal and NONE in every cell no triple
+    names; None unless pairs are n(n-1)/2 integer triples, booleans
+    excluded, with 0 <= i < j < n and 0 <= code < 16."""
+    if len(pairs) != n * (n - 1) // 2:
+        return None
     try:
-        pairs = np.array(scenario.pairs)
+        triples = np.array(pairs)
     except ValueError:  # ragged
-        return False
-    if pairs.size and (pairs.dtype.kind not in "iu" or pairs.shape[1:] != (3,)):
-        return False
+        return None
+    if triples.size and (triples.dtype.kind not in "iu" or triples.shape[1:] != (3,)):
+        return None
     # numpy reads a bool among integers as an integer, so booleans are
     # found by the type of each entry.
-    if not _BOOL_TYPES.isdisjoint(map(type, itertools.chain.from_iterable(scenario.pairs))):
-        return False
-    i, j, code = pairs.reshape(-1, 3).astype(np.int64).T
+    if not _BOOL_TYPES.isdisjoint(map(type, itertools.chain.from_iterable(pairs))):
+        return None
+    i, j, code = triples.reshape(-1, 3).astype(np.int64).T
     if not np.all((0 <= i) & (i < j) & (j < n) & (0 <= code) & (code < 16)):
-        return False
-    if not np.all(_POPCOUNT_ARR[code] == 1):
-        return False
+        return None
     c = np.zeros((n, n), dtype=np.uint8)
     np.fill_diagonal(c, 1)
     c[i, j] = code
     c[j, i] = _CONVERSE_ARR[code]
-    if not c.all() or not np.array_equal(c & net._m, c):
+    return c
+
+
+def is_valid_scenario(net: ConstraintNetwork, scenario: Scenario) -> bool:
+    """True iff scenario gives each pair of net one base case, refines its
+    labels, and is algebraically closed; False on any other input, a
+    triple holding a boolean included.
+
+    The code matrix c is the scenario's own, or its triples scattered
+    (_scattered), so that a missing or duplicated pair leaves a NONE
+    behind.  c must be n-by-n uint8, and every cell a base case, CG on
+    the diagonal and the converse of its mirror elsewhere.  An atomic network is closed
+    exactly when its "fits inside or congruent" relation L = (c in {CG,
+    CGPP}) is a preorder.  L holds every loop, so it is one exactly when
+    _closure adds no arc to it; a closure that fills the matrix adds none
+    only to a full L.
+    """
+    n = len(net)
+    c = _scattered(scenario.pairs, n) if scenario.codes is None else scenario.codes
+    if c is None or c.shape != (n, n) or c.dtype != np.uint8:
+        return False
+    if np.count_nonzero(_IS_BASIC.take(c)) != c.size or np.count_nonzero(c.diagonal() != 1):
+        return False
+    if not np.array_equal(_CONVERSE_ARR.take(c), c.T) or not np.array_equal(c & net._m, c):
         return False
     leq = (c == 1) | (c == 2)
     r = _closure(leq)
@@ -223,12 +272,6 @@ def _check_profile(net: ConstraintNetwork, bad_mask: np.ndarray, reason: str) ->
         )
 
 
-def _scenario_of(m: list[list[int]]) -> Scenario:
-    """Scenario read from the upper triangle of an atomic label matrix."""
-    n = len(m)
-    return Scenario(tuple((i, j, m[i][j]) for i in range(n) for j in range(i + 1, n)))
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive oracle
 # ---------------------------------------------------------------------------
@@ -270,7 +313,8 @@ def solve_oracle(net: ConstraintNetwork, max_vertices: int = 6) -> SolveOutcome:
     while ok or todo:
         if ok:
             if t == len(pairs):
-                return SolveOutcome(True, "oracle", scenario=_scenario_of(sol))
+                codes = np.array(sol, dtype=np.uint8).reshape(n, n)
+                return SolveOutcome(True, "oracle", scenario=Scenario.of_codes(codes))
             todo += [(t, v) for v in reversed(BASIC_CODES) if labels[t] & v]
         t, v = todo.pop()
         explored += 1
@@ -335,7 +379,7 @@ def solve_backtracking(net: ConstraintNetwork) -> SolveOutcome:
         if ok:
             pair = _first_upper_pair(_OUTSIDE_M99.take(m))
             if pair is None:
-                scenario = _scenario_of(_LEAF_ATOM[m].tolist())
+                scenario = Scenario.of_codes(_LEAF_ATOM.take(m))
                 return SolveOutcome(True, "backtracking", scenario=scenario)
             r = int(m[pair])
             todo += [(m, pair, r & ~leq), (m, pair, r & leq)]
@@ -380,9 +424,11 @@ def solve_trivial_core(net: ConstraintNetwork, core: Relation) -> SolveOutcome:
     bad = net._m & int(core) != int(core)
     np.fill_diagonal(bad, False)  # CG holds neither CNO nor CGPP|CGPPi
     _check_profile(net, bad, reason)
-    n = len(net)
-    row = [int(core) & -int(core)] * n
-    return SolveOutcome(True, "trivial-core", scenario=_scenario_of([row] * n))
+    atom = int(core) & -int(core)
+    upper = _upper_triangle(len(net))
+    codes = np.where(upper, np.uint8(atom), np.uint8(_CONVERSE_CODE[atom]))
+    np.fill_diagonal(codes, 1)
+    return SolveOutcome(True, "trivial-core", scenario=Scenario.of_codes(codes))
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +655,7 @@ def solve(net: ConstraintNetwork) -> SolveOutcome:
         out = solve_m81(net)
     else:
         out = solve_backtracking(net)
-    return dataclasses.replace(out, classification=cls)
+    return SolveOutcome(out.consistent, out.solver, out.scenario, out.witness, cls)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,35 @@ import io
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
-from mc4.algebra import EMPTY, UNIVERSAL, Relation
-from mc4.cli import _CATALOGS, _parse_palette, main
-from mc4.network import parse_network, random_network, serialize_network
-from mc4.subalgebra import Kind, classify, enumerate_expressive
+from mc4.algebra import EMPTY, UNIVERSAL, Relation, RelationSet, converse
+from mc4.cli import (
+    _CATALOGS,
+    _parse_palette,
+    _scenario_json,
+    _scenario_lines,
+    _verdict_json,
+    main,
+)
+from mc4.network import (
+    _FORMAT,
+    ConstraintNetwork,
+    parse_network,
+    random_network,
+    serialize_network,
+)
+from mc4.rcc5 import Rcc5, convert_scenario, format_rcc5, to_rcc5
+from mc4.solvers import (
+    solve_backtracking,
+    solve_m81,
+    solve_m99,
+    solve_oracle,
+    solve_trivial_core,
+)
+from mc4.subalgebra import _TRIVIAL_CORES, Kind, classify, enumerate_expressive
+from test_solvers import planted_network
 
 CONSISTENT_TEXT = "nodes: a b c\na b : CG|CGPP\nb c : CNO\n"
 INCONSISTENT_TEXT = "nodes: a b c\na b : CGPP\nb c : CG|CGPP\nc a : CG|CGPP\n"
@@ -334,6 +357,131 @@ def test_enumerate_json_counts(capsys):
     deltas = {b["key"]: b["delta"] for b in payload["buckets"]}
     assert deltas["m81-only"] == 2  # computed 19 vs reference row 17
     assert payload["tractable_delta"] == -10  # computed 82 vs claimed 92
+
+
+# ---------------------------------------------------------------------------
+# Scenario and verdict output
+# ---------------------------------------------------------------------------
+
+
+def triples(codes):
+    """The pairs of a code matrix as the solvers once built them: one
+    (i, j, code) tuple of Python ints per pair, row by row."""
+    n = len(codes)
+    return tuple((i, j, int(codes[i, j])) for i in range(n) for j in range(i + 1, n))
+
+
+def reference_verdict(out, pairs):
+    """The --json verdict as json.dumps wrote it from a dict of triples."""
+    scenario = None if pairs is None else {"pairs": list(pairs)}
+    return json.dumps(
+        {"consistent": out.consistent, "solver": out.solver, "scenario": scenario,
+         "witness": out.witness}
+    )
+
+
+def reference_lines(names, pairs, rhs, indent):
+    """The scenario lines as one f-string per pair wrote them."""
+    return "".join(f"{indent}{names[i]} {names[j]}{rhs[c]}\n" for i, j, c in pairs)
+
+
+CONVERSE = np.array([int(converse(Relation(c))) for c in range(16)])
+RCC5_RHS = tuple(" : " + format_rcc5(Rcc5(code)) for code in range(32))
+
+
+def scenario_outcomes():
+    """(net, outcome) for seeded oracle, backtracking and trivial-core
+    outcomes at n in 1, 2, 3, 20 and 60, a name with a non-ASCII letter
+    among the vertices of each."""
+    rng = np.random.default_rng(39)
+    general = RelationSet(0xFFFF)
+    for n in (1, 2, 3, 20, 60):
+        net, hidden = planted_network(n, rng, general)
+        renamed = ConstraintNetwork(("é0", *net.names[1:]))
+        renamed._m[:] = net._m
+        net = renamed
+        yield net, solve_backtracking(net)
+        # The oracle searches the relaxed network while it is small, and
+        # the hidden scenario itself at 20 and 60 vertices.
+        atomic = net.copy()
+        if n > 3:
+            for (i, j), base in hidden.items():
+                atomic.add_constraint(net.names[i], net.names[j], base)
+        yield atomic, solve_oracle(atomic, max_vertices=n)
+        for core in _TRIVIAL_CORES:
+            palette = [Relation(c) for c in range(1, 16) if c & int(core) == int(core)]
+            cnet = random_network(n, 0.7, palette, rng=rng)
+            yield cnet, solve_trivial_core(cnet, core)
+
+
+def test_scenario_output_is_the_bytes_of_the_triples():
+    sizes = set()
+    for net, out in scenario_outcomes():
+        assert out.consistent and out.witness is None
+        codes = out.scenario.codes
+        n = len(net)
+        sizes.add(n)
+        # The matrix holds the scenario above the diagonal, the converses
+        # below it and CG on it; its pairs are the old triples.
+        assert codes.shape == (n, n) and codes.dtype == np.uint8
+        assert np.array_equal(codes.T, CONVERSE[codes]) and np.all(codes.diagonal() == 1)
+        pairs = triples(codes)
+        assert len(pairs) == n * (n - 1) // 2
+        assert out.scenario.pairs == pairs
+        assert all(type(x) is int for p in out.scenario.pairs for x in p)
+        assert _verdict_json(out) == reference_verdict(out, pairs)
+        for indent in ("  ", ""):
+            assert _scenario_lines(net.names, out.scenario, _FORMAT, indent) == (
+                reference_lines(net.names, pairs, _FORMAT, indent)
+            )
+        rcc = convert_scenario(out.scenario)
+        rcc_pairs = tuple((i, j, int(to_rcc5(Relation(c)))) for i, j, c in pairs)
+        assert rcc.pairs == rcc_pairs
+        assert _scenario_json(rcc) == json.dumps({"pairs": list(rcc_pairs)})
+        assert _scenario_lines(net.names, rcc, RCC5_RHS, "") == (
+            reference_lines(net.names, rcc_pairs, RCC5_RHS, "")
+        )
+    assert sizes == {1, 2, 3, 20, 60}
+
+
+def test_scenario_output_through_the_console(capsys, net_file):
+    for net, out in scenario_outcomes():
+        if out.solver != "backtracking":
+            continue
+        path = net_file(serialize_network(net))
+        pairs = triples(out.scenario.codes)
+        code, text, _ = run(capsys, "solve", path, "--solver", "backtrack", "--json")
+        assert code == 0
+        assert text == reference_verdict(out, pairs) + "\n"
+        code, text, _ = run(capsys, "solve", path, "--solver", "backtrack")
+        assert text == (
+            "consistent: yes\nsolver: backtracking\n"
+            + reference_lines(net.names, pairs, _FORMAT, "  ")
+        )
+
+
+def test_verdicts_without_a_scenario_render_as_before():
+    def named(names, constraints):
+        net = ConstraintNetwork(names)
+        for u, v, r in constraints:
+            net.add_constraint(u, v, r)
+        return net
+
+    cgpp, cg_cgpp = Relation.CGPP, Relation.CG | Relation.CGPP
+    cycle = [("é", "b", cgpp), ("b", "c", cg_cgpp), ("c", "é", cg_cgpp)]
+    outcomes = [
+        solve_m99(named(("a", "b"), [("a", "b", EMPTY)])),
+        solve_m99(named(("a", "b"), [("a", "a", Relation.CNO)])),
+        solve_m99(named(("é", "b", "c"), cycle)),
+        solve_m81(named(("é", "b", "c", "d"), [*cycle, ("é", "d", cgpp | Relation.CGPPI)])),
+        solve_backtracking(parse_network("nodes: a b c\na b : CGPP\nb c : CGPP\na c : CG\n")),
+        solve_m99(named(("a", "b"), [("a", "b", cg_cgpp)])),
+    ]
+    witnesses = {out.witness and out.witness["type"] for out in outcomes}
+    assert witnesses == {"bottom_edge", "cycle_chord", "search_exhausted", None}
+    for out in outcomes:
+        assert out.scenario is None
+        assert _verdict_json(out) == reference_verdict(out, None)
 
 
 # ---------------------------------------------------------------------------

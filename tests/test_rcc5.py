@@ -15,7 +15,7 @@ from mc4.rcc5 import (
     lift,
     to_rcc5,
 )
-from mc4.solvers import solve_oracle
+from mc4.solvers import Scenario, solve_oracle
 
 CG = Relation.CG
 CGPP = Relation.CGPP
@@ -109,6 +109,9 @@ def test_convert_scenario_maps_codes_pairwise():
         assert codes[(i, j)] == int(to_rcc5(Relation(code)))
     payload = rcc.as_json()
     assert set(payload) == {"pairs"}
+    # A scenario of triples converts to one of triples.
+    listed = convert_scenario(Scenario(out.scenario.pairs))
+    assert listed.codes is None and listed.pairs == rcc.pairs
 
 
 def test_five_base_cases_enumerated():

@@ -1324,6 +1324,40 @@ def test_is_valid_scenario_rejects_wrong_shapes():
     assert not is_valid_scenario(net, Scenario((good.pairs[0], (0, 2, True), good.pairs[2])))
 
 
+def test_is_valid_scenario_checks_a_code_matrix():
+    # A solver's scenario is judged by its code matrix: every cell a base
+    # case, CG on the diagonal and converses across it, as a scattered
+    # list of triples would give.
+    net = net_of(3, [(0, 1, CGPP)])
+    good = solve_oracle(net).scenario
+    codes = good.codes
+    assert is_valid_scenario(net, good)
+    assert good == Scenario(good.pairs) and hash(good) == hash(Scenario(good.pairs))
+    assert repr(good) == f"Scenario(pairs={good.pairs!r})"
+    assert is_valid_scenario(net, Scenario.of_codes(codes.copy()))
+
+    def changed(i, j, code):
+        bad = codes.copy()
+        bad[i, j] = code
+        return Scenario.of_codes(bad)
+
+    assert not is_valid_scenario(net, changed(0, 0, 8))  # diagonal not CG
+    assert not is_valid_scenario(net, changed(1, 0, 2))  # not the converse
+    assert not is_valid_scenario(net, changed(0, 2, 0))  # NONE
+    for code in (3, 16, 255):  # not a base case
+        assert not is_valid_scenario(net, changed(0, 2, code))
+    both = changed(0, 1, 8)  # refines no label CGPP
+    both.codes[1, 0] = 8
+    assert not is_valid_scenario(net, both)
+    assert not is_valid_scenario(net, Scenario.of_codes(codes.astype(np.int64)))
+    assert not is_valid_scenario(net, Scenario.of_codes(codes[:2, :2]))
+    assert not is_valid_scenario(net_of(4, []), good)
+    # A cycle v0 < v1 < v2 < v0 of CGPP is no preorder.
+    cycle = np.array([[1, 2, 4], [4, 1, 2], [2, 4, 1]], dtype=np.uint8)
+    assert not is_valid_scenario(net_of(3, []), Scenario.of_codes(cycle))
+    assert is_valid_scenario(ConstraintNetwork(()), Scenario.of_codes(np.ones((0, 0), np.uint8)))
+
+
 def test_is_valid_scenario_when_the_closure_fills_the_matrix():
     # All CG: L is full, a preorder.  The cycle v0 < v1 < v2 < v0 closes
     # L to all ones, so L is no preorder.
