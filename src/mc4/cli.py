@@ -57,6 +57,7 @@ from .solvers import (
     solve_trivial_core,
 )
 from .subalgebra import (
+    _EXPRESSIVE_MASK,
     BSY,
     EQX,
     G81,
@@ -215,7 +216,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     else:
         raise ValueError("classify needs profile items or --file")
     cls = classify(profile)
-    closed = closure(profile | RelationSet((1 << 0) | (1 << 15)))
+    closed = closure(profile | RelationSet(_EXPRESSIVE_MASK))
     if args.json:
         print(
             json.dumps(
@@ -397,9 +398,12 @@ def bench_rows(
     Network generation is excluded from the timing; each (solver, size,
     instance) triple derives its own deterministic seed from the base seed.
     Returns one row per (solver, size) with mean and 95th-percentile
-    microseconds, keyed like the CSV columns.  Raises ValueError when
-    instances is below 1, which leaves nothing to time.
+    microseconds, keyed like the CSV columns.  Raises ValueError when sizes
+    is empty or instances is below 1, either of which leaves nothing to
+    time.
     """
+    if not sizes:
+        raise ValueError("bench needs at least one size")
     if instances < 1:
         raise ValueError(f"bench needs at least one instance, got {instances}")
     rows = []

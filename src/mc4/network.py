@@ -22,12 +22,13 @@ nothing); the parser rejects self-loops without CG, while the programmatic
 NONE there.  Every contradiction is thus a NONE label in the matrix.
 
 ``parse_network`` reads the lines up to ``nodes:`` one at a time, then
-the rest a chunk of lines at a time: in bulk when the chunk is ASCII, holds
-no control character but tab and line feed, and every line of it is blank
-or plain (four tokens ``NAME NAME : RELATION``, two distinct declared
-vertices, a known spelling, no comment) and otherwise by the grammar, one
-line at a time.
-The bulk read resolves names and spellings of up to 31 bytes by their
+the rest a chunk of lines at a time, by one rule: in bulk when the chunk
+is in the form ``serialize_network`` writes (ASCII, no byte below ``' '``
+but line feed, and every line ``NAME NAME : RELATION`` with spaces between
+the tokens and none between the last and the line feed, two distinct
+declared vertices and a canonical spelling), and otherwise by the grammar,
+one line at a time.
+The bulk read resolves names of up to 31 bytes and spellings by their
 bytes, in hash tables, and makes no Python object per token.  Its errors,
 their messages, tokens and line numbers are those of a line-by-line
 reading of the same text.
@@ -130,10 +131,7 @@ class ConstraintNetwork:
 
     def is_atomic(self) -> bool:
         """True iff every off-diagonal label is a single base case."""
-        n = len(self)
-        if n < 2:
-            return True
-        off = ~np.eye(n, dtype=bool)
+        off = ~np.eye(len(self), dtype=bool)
         return bool(np.all(_POPCOUNT_ARR[self._m[off]] == 1))
 
     def relation_profile(self) -> RelationSet:
@@ -297,15 +295,13 @@ class _ByteTable:
     last key, so a probe for a token that is not a key meets one.
 
     Strings that are not ASCII or longer than 31 characters are left out:
-    no token of a chunk read in bulk can equal them.  given counts the keys
-    of the dict, those left out included.
+    no token of a chunk read in bulk can equal them.
     """
 
-    __slots__ = ("given", "words", "shift", "keys", "values")
+    __slots__ = ("words", "shift", "keys", "values")
 
     def __init__(self, mapping: dict[str, int], dtype: type):
         keys, values = list(mapping), np.fromiter(mapping.values(), dtype, len(mapping))
-        self.given = len(keys)
         longest = max(map(len, keys), default=0)
         if longest >= 8 * _KEY_WORDS or not "".join(keys).isascii():
             keep = [k.isascii() and len(k) < 8 * _KEY_WORDS for k in keys]
@@ -387,41 +383,38 @@ def parse_network(text: str) -> ConstraintNetwork:
     _parse_header reads the lines up to 'nodes:' once, one at a time.  The
     names table is built from the network it declares, and the rest of the
     text is read in chunks of whole lines (_chunk_end) that begin after
-    that line.  An ASCII chunk whose only bytes below ' ' are tabs and
-    line feeds is scanned once as bytes (_scan_lines), which counts its
-    lines as str.splitlines does and splits it into tokens as str.split
-    does.
+    that line.
 
-    Such a chunk is read in bulk when it is plain: every line is blank or
-    holds four tokens, the third ':', two distinct declared vertices and a
-    relation spelling met before.  No vertex name or spelling holds '#', so
-    a plain chunk holds no comment.  The tokens are resolved by their
-    bytes, with no Python object made for one: two exact hash tables
-    (_ByteTable) map the names and the spellings of up to 31 characters to
-    vertex indices and relation codes.  The spellings table is rebuilt
-    whenever the grammar has met a new spelling, so later chunks that use
-    it stay in bulk.  Nothing is written until the whole chunk is found
-    plain; then one gather and one scatter intersect its declarations into
-    the label matrix.  Only a chunk that declares a pair twice, with labels
-    that differ, has its cells intersected again one declaration at a time
-    (np.bitwise_and.at).
+    One rule decides how a chunk is read: in bulk when it is in the form
+    serialize_network writes, ASCII, no byte below ' ' but '\\n', and
+    every line four tokens with no space between the fourth and the line's
+    break: two distinct declared vertices, ':' and a canonical relation
+    spelling.  No vertex name or spelling holds '#', so such a chunk holds
+    no comment.  _scan_lines splits it into lines and tokens in one pass
+    over its bytes, and the tokens are resolved by their bytes, with no
+    Python object made for one: two exact hash tables (_ByteTable) map the
+    names of up to 31 characters to vertex indices and the canonical
+    spellings (_SPELLING_TABLE) to relation codes.  Nothing is written
+    until the whole chunk is found plain; then one gather and one scatter
+    intersect its declarations into the label matrix.  Only a chunk that
+    declares a pair twice, with labels that differ, has its cells
+    intersected again one declaration at a time (np.bitwise_and.at).
 
     The chunk is small so that each one's arrays sit in memory the
     allocator reuses from chunk to chunk; smaller chunks lose to the fixed
     cost of each chunk's numpy calls.  A 600 KB dense-random file of 30 000
-    lines parses in about 3.2 ms, and a 21 MB file of 2000 vertices in
-    about 0.11 s.
+    lines parses in about 3.7 ms on 2 vCPUs, and a 21 MB file of 2000
+    vertices in about 0.11 s.
 
-    Any other chunk (one with a non-ASCII character, a C0 control
-    character other than tab or line feed, an irregular line, or a name or
-    spelling longer than 31 characters) goes through _parse_line, the
-    grammar one line at a time, from its first line on.  So the first bad
-    line raises, and the ParseError, its message, token and line number, is
-    the one a loop over text.splitlines() would raise.  A chunk read this
-    way is about 3 ms slower than in bulk for the 3300 lines of a 64 KiB
-    chunk of a dense-random file; only the chunk that needs it pays, and
-    a chunk with a '\\v', '\\f' or other control byte pays it too
-    (_scan_lines says why).
+    Every other chunk (one with a non-ASCII character, a tab or another
+    byte below ' ' but '\\n', a blank, comment or otherwise irregular line,
+    another spelling of a relation, or a name longer than 31 characters)
+    goes through _parse_line, the grammar one line at a time, from its
+    first line on.  So the first bad line raises, and the ParseError, its
+    message, token and line number, is the one a loop over
+    text.splitlines() would raise.  A chunk read this way is about 3 ms
+    slower than in bulk for the 3300 lines of a 64 KiB chunk of a
+    dense-random file; only the chunk that needs it pays.
 
     Each declaration, in bulk or by _parse_line, is written into its own
     cell (i, j) only.  After the last chunk _close_converse intersects each
@@ -439,10 +432,9 @@ def parse_network(text: str) -> ConstraintNetwork:
             text = text.replace("\r", "\n")
     net, pos, lineno = _parse_header(text)  # lineno: the next chunk's first line
     names = _ByteTable(net._index, np.intp)
-    # Relation spellings to codes: the canonical ones serialize_network
-    # writes, and any other the file uses, parsed once.
+    # The grammar's relation spellings to codes: the canonical ones, and any
+    # other the file uses, parsed once.
     spellings = dict(_SPELLINGS)
-    spelled = _SPELLING_TABLE
     while pos < len(text):
         end = _chunk_end(text, pos)
         chunk = text[pos:end]
@@ -457,7 +449,7 @@ def parse_network(text: str) -> ConstraintNetwork:
             width = lengths.reshape(-1, 4).T.copy()
             key0 = _token_keys(view, begin, width, 1)[0]  # their keys' first words
             ij = names.get(key0[:2], view, begin[:2], width[:2])
-            codes = spelled.get(key0[3], view, begin[3], width[3])
+            codes = _SPELLING_TABLE.get(key0[3], view, begin[3], width[3])
             plain = (
                 ij is not None
                 and codes is not None
@@ -482,8 +474,6 @@ def parse_network(text: str) -> ConstraintNetwork:
         for k, line in enumerate(lines, lineno):
             _parse_line(line, k, net, spellings)
         lineno += len(lines)
-        if len(spellings) > spelled.given:
-            spelled = _ByteTable(spellings, np.uint8)
     _close_converse(net._m)
     return net
 
@@ -555,32 +545,29 @@ def _chunk_end(text: str, pos: int) -> int:
 
 def _scan_lines(chunk: str) -> tuple[int, bool, np.ndarray, np.ndarray, np.ndarray]:
     """The lines and tokens of an ASCII chunk, split as by str.splitlines
-    and str.split, when its only bytes below ' ' are '\\t' and '\\n'.
+    and str.split, when its only byte below ' ' is '\\n'.
 
     Returns (lines, regular, view, starts, lengths): the number of lines
-    in chunk; whether every line holds four tokens or none; the
+    in chunk; whether every line holds four tokens, with no space between
+    the fourth and the break that ends the line; the
     little-endian uint64 at each byte offset of chunk, read on into _PAD,
     so that a key can be read at any token (_token_keys); and for each
     token, its offset in chunk and its length.  Every line break is one
     character, as parse_network has folded each CRLF into '\\n'.
 
-    A byte up to ' ' is taken for a space and '\\n' for the one break.
-    That is what str.split and str.splitlines see for '\\t', '\\n' and
-    ' ', but not for the other bytes below ' ' ('\\v', '\\f' and '\\x1c'
-    to '\\x1e' end lines, '\\x1f' only parts tokens, the rest are name
-    bytes).  So a chunk that holds one of those is not scanned: it comes
-    back (0, False, None, None, None), not regular, and goes to the
-    grammar, a cost accepted for such rare bytes.
+    A byte up to ' ' is taken for a space and '\\n' for the one break,
+    which is what str.split and str.splitlines see for ' ' and '\\n', the
+    only such bytes in the text mc4 writes.  A chunk that holds any other
+    byte below ' ' (a tab, or a '\\v' that ends a line) is not scanned: it
+    comes back (0, False, None, None, None), not regular, and goes to the
+    grammar.
     """
     raw = b" " + chunk.encode("ascii") + _PAD
     byte = np.frombuffer(raw, dtype=np.uint8)
     body = byte[1 : len(chunk) + 1]
     breaks = body == 10
     n_breaks = int(np.count_nonzero(breaks))
-    # Every byte below ' ' must be a break or a tab; tabs are counted only
-    # when some byte below ' ' is not a break.
-    controls = np.count_nonzero(body < 32)
-    if controls != n_breaks and controls != n_breaks + np.count_nonzero(body == 9):
+    if np.count_nonzero(body < 32) != n_breaks:  # a byte below ' ' not '\n'
         return 0, False, None, None, None
     space = byte <= 32
     # raw begins and ends in a space, so its edges alternate: a token begins
@@ -595,18 +582,10 @@ def _scan_lines(chunk: str) -> tuple[int, bool, np.ndarray, np.ndarray, np.ndarr
     # them: line r holds tokens 4r to 4r + 3, and a last line with no break
     # the four left.  Only the first n_breaks are tested: 8 and 4 tokens on
     # two lines and a last line of spaces would pass a test of all three.
-    # A chunk that fails, one with a blank line say, has its lines located
-    # and each one's tokens counted.
     regular = (
         len(starts) == 4 * lines
         and np.count_nonzero(byte[edges[7::8][:n_breaks] + 1] == 10) == n_breaks
     )
-    if not regular:
-        ends = breaks.nonzero()[0]
-        if not breaks[-1]:
-            ends = np.append(ends, len(chunk))
-        counts = np.diff(np.searchsorted(starts, ends), prepend=0)
-        regular = not np.count_nonzero(counts & ~4)
     view = np.ndarray((len(raw) - 8,), "<u8", raw, 1, (1,))
     return lines, regular, view, starts, edges[1::2] - starts
 
@@ -616,8 +595,11 @@ def _parse_line(
 ) -> None:
     """Parse one line after the 'nodes:' line by the whole grammar.
 
-    A constraint line 'u v : R' is intersected into the cell (u, v) of net;
-    a blank or comment line says nothing.  parse_network closes the
+    parse_network hands it every line of a chunk that is not in the form
+    serialize_network writes.  A constraint line 'u v : R' is intersected
+    into the cell (u, v) of net; a blank or comment line says nothing.
+    spellings maps relation spellings to codes, and each spelling that
+    parse_relation reads is added to it.  parse_network closes the
     converse cells after its last chunk.
 
     Raises:
@@ -639,8 +621,7 @@ def _parse_line(
     j = net._index.get(v)
     if j is None:
         raise ParseError(f"undeclared vertex {v!r}", token=v, line=lineno)
-    # Without the space after ':' a spelling is the token the bulk read looks
-    # up, so one met here keeps later chunks in bulk.
+    # Without the space after ':' a canonical spelling is a key of spellings.
     right = right.lstrip()
     code = spellings.get(right)
     if code is None:
@@ -756,14 +737,13 @@ def random_network(
         raise ValueError("density must be within [0, 1]")
     net = ConstraintNetwork(tuple(f"v{k}" for k in range(n_vertices)))
     n_pairs = n_vertices * (n_vertices - 1) // 2
-    if n_pairs:
-        hit = rng.random(n_pairs) < density
-        drawn = codes[rng.integers(0, codes.size, size=n_pairs)]
-        # A pair not hit stays ALL, 15, which ORs any code to 15.  This is
-        # np.where(hit, drawn, 15) without its branch per pair, which a
-        # random hit mask mispredicts about half the time.
-        vals = drawn | np.uint8(15) * ~hit
-        m = net._m
-        m[_upper_triangle(n_vertices)] = vals
-        m &= _CONVERSE_ARR.take(m.T)
+    hit = rng.random(n_pairs) < density
+    drawn = codes[rng.integers(0, codes.size, size=n_pairs)]
+    # A pair not hit stays ALL, 15, which ORs any code to 15.  This is
+    # np.where(hit, drawn, 15) without its branch per pair, which a
+    # random hit mask mispredicts about half the time.
+    vals = drawn | np.uint8(15) * ~hit
+    m = net._m
+    m[_upper_triangle(n_vertices)] = vals
+    m &= _CONVERSE_ARR.take(m.T)
     return net

@@ -59,6 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    BASIC_RELATIONS,
     EMPTY,
     Relation,
     RelationSet,
@@ -77,7 +78,7 @@ from .network import (
 )
 from .subalgebra import _TRIVIAL_CORES, EQX, LEQ, M81, M99, NLE, Kind, TractabilityClass, classify
 
-BASIC_CODES = (1, 2, 4, 8)
+BASIC_CODES = tuple(map(int, BASIC_RELATIONS))
 
 # Gadget kinds: relation code -> a bit set of the primitive constraints a
 # label puts on its ordered pair (_LEQ, _EQX, _NLE; to_gadget_m99 states

@@ -611,3 +611,11 @@ def test_bench_rejects_fewer_than_one_instance(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "at least one instance" in err
+
+
+def test_bench_rejects_an_empty_size_list(capsys):
+    for sizes in ("", ","):
+        code, out, err = run(capsys, "bench", "--sizes", sizes)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "at least one size" in err

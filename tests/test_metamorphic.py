@@ -23,6 +23,15 @@ and no case is skipped: every (palette, kind, n) of PALETTES x KINDS x
 SIZES, except that the general palette meets n=120 only in the planted
 kind (on the other kinds its search is exponential), each drawn from
 np.random.default_rng([16, palette index, kind index, n]).
+
+Every inconsistent member of those families is refuted at the root, by
+path consistency or a decider.  The search family, fixed by a rule of its
+own before it first ran, holds members that the search refutes only after
+committing pairs to base cases: twelve networks
+random_network(30, 8/29, (CGPP|CGPPi, CNO)), network k drawn from
+np.random.default_rng([16, len(PALETTES), k]) for k = 0..11.  Their
+profile is NP-hard, so solve searches; its verdicts are checked, never
+its number of commitments, which depends on the vertex order.
 """
 
 import numpy as np
@@ -57,6 +66,7 @@ PALETTES = (
 )
 KINDS = ("planted", "tightened", "random")
 SIZES = (10, 40, 120)
+SEARCH_PALETTE = (Relation.CGPP | Relation.CGPPI, Relation.CNO)
 
 
 def family(catalog, kind, n, rng):
@@ -87,6 +97,9 @@ def cases():
                     continue
                 rng = np.random.default_rng([16, p, k, n])
                 yield f"{palette}-{kind}-{n}", family(catalog, kind, n, rng), rng
+    for k in range(12):
+        rng = np.random.default_rng([16, len(PALETTES), k])
+        yield f"search-{k}", random_network(30, 8 / 29, SEARCH_PALETTE, rng=rng), rng
 
 
 def check_outcome(net, out):
@@ -144,11 +157,13 @@ def narrowed(net, scenario, keep):
 
 
 def test_metamorphic_relations_keep_every_verdict():
-    verdicts = set()
+    verdicts, committed = set(), 0
     for name, net, rng in cases():
         base = solve(net)
         check_outcome(net, base)
         verdicts.add(base.consistent)
+        if base.witness is not None and base.witness["type"] == "search_exhausted":
+            committed += base.witness["explored"] > 0
 
         # 1. Permuted and renamed vertices.
         order = rng.permutation(len(net))
@@ -187,3 +202,4 @@ def test_metamorphic_relations_keep_every_verdict():
                 assert nout.consistent, name
                 check_outcome(net, nout)
     assert verdicts == {True, False}
+    assert committed > 0  # some inconsistent network is refuted past the root

@@ -481,16 +481,17 @@ _BREAK_CHARS = tuple(chr(c) for c in range(128) if len(f"a{chr(c)}b".splitlines(
 
 
 def _admitted(chunk):
-    """True iff _scan_lines scans chunk: its only characters below ' ' are
-    tabs and line feeds."""
-    return all(c >= " " or c in "\t\n" for c in chunk)
+    """True iff _scan_lines scans chunk: its only character below ' ' is
+    the line feed."""
+    return all(c >= " " or c == "\n" for c in chunk)
 
 
 def test_bulk_scan_admits_tab_line_feed_and_space_only():
-    """Among the ASCII bytes below 33, the bulk scan admits exactly '\\t',
-    '\\n' and ' ', each whitespace to str.split, with '\\n' the only
-    break; every other byte that str.isspace or str.splitlines knows is
-    refused.  Bytes above ' ' are admitted and read as name bytes."""
+    """Among the ASCII bytes below 33, the bulk scan admits exactly '\\n'
+    and ' ', the line break and the token gap of the text mc4 writes;
+    every other byte that str.isspace or str.splitlines knows, '\\t'
+    among them, is refused.  Bytes above ' ' are admitted and read as name
+    bytes."""
     admitted = set()
     for c in range(128):
         chunk = f"a{chr(c)}b c"
@@ -503,34 +504,34 @@ def test_bulk_scan_admits_tab_line_feed_and_space_only():
         tokens = [chunk[a : a + k] for a, k in zip(starts.tolist(), lengths.tolist())]
         assert tokens == chunk.split()
     low = {c for c in admitted if c < 33}
-    assert low == {9, 10, 32}
+    assert low == {10, 32}
     assert admitted == low | set(range(33, 128))
     assert all(chr(c).isspace() for c in low)
     assert {c for c in low if chr(c) in _BREAK_CHARS} == {10}
     known = {c for c in range(33) if chr(c).isspace() or chr(c) in _BREAK_CHARS}
-    assert known - low == {11, 12, 13, 28, 29, 30, 31}
+    assert known - low == {9, 11, 12, 13, 28, 29, 30, 31}
 
 
 @st.composite
 def scan_chunks(draw):
     """An ASCII chunk as parse_network hands one to _scan_lines: lines of
-    tokens, spaces and tabs, ended by any line break byte or, last, none;
-    with its carriage returns folded into '\\n'.  Half the chunks end
-    their lines in '\\n' or '\\r' only, and one in eight puts a control
-    byte into a gap or a token."""
-    gap = st.text(" \t", min_size=1, max_size=3)
+    tokens and spaces, ended by any line break byte or, last, none; with
+    its carriage returns folded into '\\n'.  Half the chunks end their
+    lines in '\\n' or '\\r' only, and one in eight puts a tab or another
+    control byte into a gap or a token."""
+    gap = st.text(" ", min_size=1, max_size=3)
     tokens = ["a", "v10", ":", "CG|CNO"]
     if draw(st.integers(min_value=0, max_value=7)) == 0:
         gap = st.text(" \t\x1f", min_size=1, max_size=3)
-        tokens.append(draw(st.sampled_from(("\x00", "a\x01b", "\x1b", "x\x7f"))))
+        tokens.append(draw(st.sampled_from(("\x00", "a\x01b", "\x1b", "x\x7f", "a\tb"))))
     breaks = _BREAK_CHARS if draw(st.booleans()) else "\n\r"
     pieces = []
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
         n = draw(st.sampled_from((0, 4, 4, 4, 1, 3, 5, 8)))
-        line = draw(st.text(" \t", max_size=2))
+        line = draw(st.text(" ", max_size=2))
         for k in range(n):
             line += (draw(gap) if k else "") + draw(st.sampled_from(tokens))
-        pieces.append(line + draw(st.text(" \t", max_size=2)) + draw(st.sampled_from(breaks)))
+        pieces.append(line + draw(st.text(" ", max_size=2)) + draw(st.sampled_from(breaks)))
     if draw(st.booleans()):
         pieces[-1] = pieces[-1][:-1]
     return "".join(pieces).replace("\r\n", "\n").replace("\r", "\n") or " "
@@ -539,7 +540,9 @@ def scan_chunks(draw):
 @settings(max_examples=400, deadline=None)
 @given(scan_chunks())
 @example("a b : CG c d : CG\ne f : CG\n ")  # 8 + 4 tokens and a line of spaces
-@example("a\tb\t:\tCG\n\t \t\nc  \t d :\t\tCG")  # tab-separated, a tab-only line
+@example("a b : CG\n  \nc  d :  CG")  # a line of spaces between two of four tokens
+@example("a b : CG \nc d : CG ")  # a space ends the first line; the last may end in one
+@example("a\tb\t:\tCG\n")  # tab-separated; the chunk is refused
 @example("a b : CG\x0bc d : CG\n")  # '\v' ends a line; the chunk is refused
 def test_scan_lines_counts_and_tests_lines_as_str_splitlines(chunk):
     lines, regular, view, starts, lengths = network._scan_lines(chunk)
@@ -548,7 +551,9 @@ def test_scan_lines_counts_and_tests_lines_as_str_splitlines(chunk):
         assert not regular
         return
     assert lines == len(chunk.splitlines())
-    assert regular == all(len(line.split()) in (0, 4) for line in chunk.splitlines())
+    # Four tokens a line, and no space between a line's last one and its break.
+    fours = all(len(line.split()) == 4 for line in chunk.splitlines())
+    assert regular == (fours and " \n" not in chunk)
     assert [chunk[s : s + k] for s, k in zip(starts.tolist(), lengths.tolist())] == chunk.split()
 
 
@@ -745,7 +750,8 @@ def corpus_text(seed):
 
 
 def _is_plain(line, names):
-    """True iff parse_network could take line in bulk."""
+    """True iff line's tokens are those parse_network can take in bulk;
+    it does when, besides, no space ends the line."""
     tokens = line.split()
     return (
         len(tokens) == 4
@@ -860,7 +866,7 @@ def _with_irregular_line(lines, edit):
     "end" and "mid" edits put a line after the last line or before the middle
     one.  "mid-lower" writes the middle line's spelling in lower case there
     and on every later line that has it, so later chunks hold a spelling that
-    only the grammar has met.
+    is not canonical.
     """
     where, _, what = edit.partition(" ")
     k = len(lines) if where == "end" else len(lines) // 2
@@ -914,6 +920,7 @@ def test_only_a_chunk_with_an_irregular_line_goes_through_the_grammar(
     assert got.names == want.names and np.array_equal(got.to_array(), want.to_array())
     # No line up to 'nodes:' reaches the grammar, and every line of the
     # chunk that holds the irregular line does, once, and no other line.
+    # A lower-case spelling is irregular in every chunk that uses it.
     nodes = head.count("\n") + 1
     assert firsts[0] == nodes + 1
     assert not [k for k in calls if k <= nodes]
@@ -922,49 +929,40 @@ def test_only_a_chunk_with_an_irregular_line_goes_through_the_grammar(
         c = max(k for k, f in enumerate(firsts) if f <= bad)
         assert 0 < c < n_chunks - 1 or edit.startswith("end")
         grammar = _chunk_lines(text)[c]
-    if edit == "mid-lower":  # the last chunk holds the spelling the grammar met
-        assert " : c" in "\n".join(lines[firsts[-1] - 1 :])  # canonical ones begin 'C'
+    if edit == "mid-lower":  # every chunk from c on uses the spelling
+        assert all(" : c" in t for _, t in _chunk_texts(text)[c:])  # canonical ones begin 'C'
+        grammar = range(firsts[c], len(lines) + 1)
     assert calls == [*grammar]
 
 
 @pytest.mark.parametrize("chunk", [network._CHUNK, 40], ids=["chunk-default", "chunk-40"])
 def test_blank_lines_in_a_gen_network_are_read_in_bulk(monkeypatch, chunk):
-    """Blank and whitespace-only lines fail the four-token test, so the
-    tokens of a chunk that holds one are counted line by line; it is still
-    read in bulk.  A chunk of four-token lines is never counted.  A chunk
-    with a '\\v' or '\\f' in a blank line goes to the grammar instead;
-    with those bytes made spaces, every chunk is read in bulk."""
+    """Blank and whitespace-only lines fail the four-token test, so each
+    chunk that holds one goes to the grammar, on exactly its own lines, and
+    every other chunk is read in bulk.  With the '\\v' and '\\f' of the
+    blank lines made spaces, the chunks that hold a blank line still do."""
     net = random_network(200, 0.5, M99_PALETTE, rng=5)
     lines = serialize_network(net).splitlines()
     rng = random.Random(5)
     for k in sorted(rng.sample(range(1, len(lines) + 1), 60), reverse=True):
         lines.insert(k, rng.choice(("", " ", "\t", " \t\x0b\x0c ")))
     text = "\n".join(lines) + "\n"
-    want = reference_parse_network(text)
     monkeypatch.setattr(network, "_CHUNK", chunk)
     calls = _spy_parse_line(monkeypatch)
-    counted = []  # one entry per chunk whose tokens were counted line by line
-    searchsorted = np.searchsorted
-    monkeypatch.setattr(np, "searchsorted", lambda *args: counted.append(0) or searchsorted(*args))
     assert np.array_equal(parse_network(serialize_network(net)).to_array(), net.to_array())
-    assert counted == []
-    got = parse_network(text)
-    assert got.names == want.names and np.array_equal(got.to_array(), want.to_array())
-    assert np.array_equal(got.to_array(), net.to_array())
-    chunks = [(c, "\x0b" in t) for c, (_, t) in zip(_chunk_lines(text), _chunk_texts(text))]
-    assert calls == [k for c, refused in chunks if refused for k in c]
-    assert calls
-    words = [len(line.split()) for line in text.splitlines()]
-    blank = [any(not words[k - 1] for k in c) for c, refused in chunks if not refused]
-    assert len(counted) == sum(blank)
-    counted.clear()
+    assert calls == []
     spaced = text.replace("\x0b", " ").replace("\x0c", " ")
-    got = parse_network(spaced)
-    assert calls == [k for c, refused in chunks if refused for k in c]  # no new call
-    assert np.array_equal(got.to_array(), net.to_array())
-    words = [len(line.split()) for line in spaced.splitlines()]
-    blank = [any(not words[k - 1] for k in c) for c in _chunk_lines(spaced)]
-    assert len(counted) == sum(blank) > 0
+    for text in (text, spaced):
+        calls.clear()
+        want = reference_parse_network(text)
+        got = parse_network(text)
+        assert got.names == want.names and np.array_equal(got.to_array(), want.to_array())
+        assert np.array_equal(got.to_array(), net.to_array())
+        words = [len(line.split()) for line in text.splitlines()]
+        chunks = _chunk_lines(text)
+        blank = [c for c in chunks if any(not words[k - 1] for k in c)]
+        assert calls == [k for c in blank for k in c]
+        assert blank and (len(blank) < len(chunks) or chunk != 40)
 
 
 def _with_byte(lines, byte, place):
@@ -986,11 +984,12 @@ def _with_byte(lines, byte, place):
 
 def _bulk_chunk(chunk, names):
     """True iff parse_network reads chunk in bulk: ASCII, no control byte
-    but tab and line feed, and every line blank or plain."""
+    but line feed, and every line plain, with no space before its break."""
     return (
         chunk.isascii()
         and _admitted(chunk)
-        and all(_is_plain(line, names) for line in chunk.splitlines() if line.split())
+        and " \n" not in chunk
+        and all(_is_plain(line, names) for line in chunk.splitlines())
     )
 
 
@@ -1028,30 +1027,37 @@ def test_a_control_byte_del_or_nel_reads_as_the_line_loop(monkeypatch, chunk, pl
         if not calls:
             bulk += byte
     assert outcomes == {2, 3}  # valid texts and errors
-    # DEL is a name byte; of the bytes below ' ', a blank line holds a tab,
-    # and a line ends in a line feed or, folded into one, a carriage return.
-    assert bulk == {"name": "\x7f", "blank": "\t\n\r", "line-end": "\n\r"}[place]
+    # DEL is a name byte; of the bytes below ' ', a line ends in a line feed
+    # or, folded into one, a carriage return; a blank line, whatever it
+    # holds, sends its chunk to the grammar.
+    assert bulk == {"name": "\x7f", "blank": "", "line-end": "\n\r"}[place]
 
 
 @pytest.mark.parametrize("gaps", ["tabs", "runs"])
 @pytest.mark.parametrize("chunk", [network._CHUNK, 40], ids=["chunk-default", "chunk-40"])
 def test_a_gen_network_separated_by_tabs_is_read_in_bulk(monkeypatch, chunk, gaps):
-    """Tabs, or runs of spaces and tabs, between the tokens of a gen
-    network keep every chunk in bulk, with no line counted."""
+    """Tabs, or runs of spaces and tabs, between the tokens of some lines
+    of a gen network send each chunk that holds one of those lines to the
+    grammar, on exactly its own lines; every other chunk is read in bulk."""
     net = random_network(200, 0.5, M99_PALETTE, rng=19)
     lines = serialize_network(net).splitlines()
     seps = {"tabs": ("\t",), "runs": (" \t", "\t\t", "  \t ", "\t ")}[gaps]
     rng = random.Random(19)
-    body = ["".join(rng.choice(seps) + t for t in line.split()) for line in lines[1:]]
-    assert (gaps == "tabs") == (" " not in "".join(body))
+    tabbed = sorted(rng.sample(range(2, len(lines) + 1), 40))  # line numbers
+    for k in tabbed:
+        lines[k - 1] = "".join(rng.choice(seps) + t for t in lines[k - 1].split())
+    assert (gaps == "tabs") == (" " not in "".join(lines[k - 1] for k in tabbed))
+    text = "\n".join(lines) + "\n"
+    want = reference_parse_network(text)
     monkeypatch.setattr(network, "_CHUNK", chunk)
     calls = _spy_parse_line(monkeypatch)
-    counted = []  # one entry per chunk whose tokens were counted line by line
-    searchsorted = np.searchsorted
-    monkeypatch.setattr(np, "searchsorted", lambda *args: counted.append(0) or searchsorted(*args))
-    got = parse_network("\n".join([lines[0], *body]) + "\n")
+    got = parse_network(text)
+    assert got.names == want.names and np.array_equal(got.to_array(), want.to_array())
     assert np.array_equal(got.to_array(), net.to_array())
-    assert calls == [] and counted == []
+    chunks = _chunk_lines(text)
+    grammar = [c for c in chunks if any(k in c for k in tabbed)]
+    assert calls == [k for c in grammar for k in c]
+    assert len(grammar) < len(chunks) or chunk != 40
 
 
 @pytest.mark.parametrize("twice", ["equal", "all-first", "all-second"])
@@ -1153,34 +1159,30 @@ _LINE_TEST_TEXTS = {
 @pytest.mark.parametrize("chunk", [network._CHUNK, 40], ids=["chunk-default", "chunk-40"])
 def test_lines_are_counted_only_in_chunks_that_fail_the_line_test(monkeypatch, chunk, case):
     """_scan_lines counts a chunk's line breaks and tests that each of the
-    first fourth tokens is followed by one; only a chunk that fails has its
-    lines located and their tokens counted (np.searchsorted).  It fails
-    exactly when some line holds other than four tokens, and the text
-    reads as by the line loop, matrix, error and line number.  A chunk
-    with a '\\v' is not scanned: it goes to the grammar, uncounted."""
+    first fourth tokens is followed by one.  Only a chunk that fails, here
+    exactly one where some line holds other than four tokens, or one with a
+    byte the scan refuses ('\\v', '\\t'), goes to the grammar, which
+    counts its lines one by one, and on exactly its own lines up to the
+    first error.  The text reads as by the line loop, matrix, error and
+    line number."""
     net = random_network(200, 0.5, M99_PALETTE, rng=13)
     lines = serialize_network(net).splitlines()
     text = _LINE_TEST_TEXTS[case](lines)
     want = _outcome(reference_parse_network, text)
     monkeypatch.setattr(network, "_CHUNK", chunk)
     calls = _spy_parse_line(monkeypatch)
-    counted = []  # one entry per chunk whose tokens were counted line by line
-    searchsorted = np.searchsorted
-    monkeypatch.setattr(np, "searchsorted", lambda *args: counted.append(0) or searchsorted(*args))
     assert np.array_equal(parse_network(serialize_network(net)).to_array(), net.to_array())
-    assert counted == []
+    assert calls == []
     assert _outcome(parse_network, text) == want
-    # Chunks past the first error are never scanned.
+    # Chunks past the first error are never read.
     last = want[2] if len(want) == 3 else len(text.splitlines())
     words = [len(line.split()) for line in text.splitlines()]
     chunks = [(c, _admitted(t)) for c, (_, t) in zip(_chunk_lines(text), _chunk_texts(text))]
-    failing = [any(words[k - 1] != 4 for k in c) for c, ok in chunks if c[0] <= last and ok]
-    assert len(counted) == sum(failing)
-    assert bool(counted) == (case not in ("no-final-newline", "vt-between-names"))
+    failing = [c for c, ok in chunks if not ok or any(words[k - 1] != 4 for k in c)]
+    assert calls == [k for c in failing for k in c if k <= last]
+    assert bool(calls) == (case != "no-final-newline")
     refused = [c for c, ok in chunks if not ok]
-    assert len(refused) == (case == "vt-between-names")
-    if refused:
-        assert calls == [*range(refused[0][0], last + 1)]
+    assert len(refused) == (case in ("vt-between-names", "whitespace-last-line"))
     if case == "blank-chunk":
         assert any(not any(words[k - 1] for k in c) for c in _chunk_lines(text))
 
