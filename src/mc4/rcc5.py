@@ -109,10 +109,7 @@ def format_rcc5(s: Rcc5) -> str:
 
 def convert_scenario(scenario: Scenario) -> Scenario:
     """RCC-5 scenario induced by an MC-4 scenario's witnessing placements:
-    the same pairs in the same Scenario type, each MC-4 code mapped to its
-    RCC-5 image (the converses below the diagonal to theirs, CG on it to
-    EQ).  A scenario of triples gives one of triples.  is_valid_scenario
-    checks MC-4 scenarios, not these."""
-    if scenario.codes is None:
-        return Scenario(tuple((i, j, int(_RCC5_CODE[c])) for i, j, c in scenario.pairs))
+    each code of its matrix mapped to its RCC-5 image (the converses below
+    the diagonal to theirs, CG on it to EQ).  is_valid_scenario checks
+    MC-4 scenarios, not these."""
     return Scenario.of_codes(_RCC5_CODE.take(scenario.codes))

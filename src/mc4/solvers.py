@@ -54,6 +54,7 @@ needed at all.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,39 +111,37 @@ class ProfileError(ValueError):
 
 
 class Scenario:
-    """Full atomic assignment: one base case per pair of vertices.
+    """Full atomic assignment, held as its code matrix codes: codes[i, j]
+    for i < j is the base case of the pair (i, j), its converse sits at
+    codes[j, i], and CG on the diagonal.
 
-    A scenario from a solver, or from Scenario.of_codes, is its code
-    matrix codes: codes[i, j] for i < j is the base case of the pair
-    (i, j), its converse sits at codes[j, i], and CG on the diagonal.
-    pairs, one (i, j, code) triple per pair with i < j in row-major order,
-    is read from the matrix the first time it is asked for.
-    Scenario(pairs) keeps the triples as given, for is_valid_scenario to
-    judge however malformed; its codes is None.
+    The solvers build theirs with Scenario.of_codes.  Scenario(pairs) reads
+    (i, j, code) triples, as a JSON verdict lists them, with _scattered;
+    codes is None when they are no scenario's on any n.  pairs, the triples
+    with i < j in row-major order, is read from the matrix on each call,
+    and is None when codes is.
 
-    The codes are MC-4 base cases from the solvers, or RCC-5 ones from
+    The codes are MC-4 base cases, or RCC-5 ones from
     mc4.rcc5.convert_scenario; is_valid_scenario checks MC-4 scenarios.
     """
 
-    __slots__ = ("codes", "_pairs")
+    __slots__ = ("codes",)
 
     def __init__(self, pairs: tuple[tuple[int, int, int], ...]):
-        self.codes: np.ndarray | None = None
-        self._pairs = pairs
+        self.codes = _scattered(pairs)
 
     @classmethod
     def of_codes(cls, codes: np.ndarray) -> Scenario:
         scenario = cls.__new__(cls)
         scenario.codes = codes
-        scenario._pairs = None
         return scenario
 
     @property
-    def pairs(self) -> tuple[tuple[int, int, int], ...]:
-        if self._pairs is None:
-            i, j = np.nonzero(_upper_triangle(len(self.codes)))
-            self._pairs = tuple(zip(i.tolist(), j.tolist(), self.codes[i, j].tolist()))
-        return self._pairs
+    def pairs(self) -> tuple[tuple[int, int, int], ...] | None:
+        if self.codes is None:
+            return None
+        i, j = np.nonzero(_upper_triangle(len(self.codes)))
+        return tuple(zip(i.tolist(), j.tolist(), self.codes[i, j].tolist()))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Scenario) and self.pairs == other.pairs
@@ -180,11 +179,13 @@ _BOOL_TYPES = frozenset((bool, np.bool_))
 _IS_BASIC = np.isin(np.arange(256), BASIC_CODES)
 
 
-def _scattered(pairs, n: int) -> np.ndarray | None:
-    """n-by-n code matrix of (i, j, code) triples: each code at (i, j), its
-    converse at (j, i), CG on the diagonal and NONE in every cell no triple
-    names; None unless pairs are n(n-1)/2 integer triples, booleans
+def _scattered(pairs) -> np.ndarray | None:
+    """Code matrix of (i, j, code) triples on the n vertices for which there
+    are n(n-1)/2 of them, no triples reading as one vertex: each code at
+    (i, j), its converse at (j, i), CG on the diagonal and NONE in every
+    cell no triple names.  None unless the triples are integers, booleans
     excluded, with 0 <= i < j < n and 0 <= code < 16."""
+    n = (1 + math.isqrt(1 + 8 * len(pairs))) // 2
     if len(pairs) != n * (n - 1) // 2:
         return None
     try:
@@ -210,19 +211,18 @@ def _scattered(pairs, n: int) -> np.ndarray | None:
 def is_valid_scenario(net: ConstraintNetwork, scenario: Scenario) -> bool:
     """True iff scenario gives each pair of net one base case, refines its
     labels, and is algebraically closed; False on any other input, a
-    triple holding a boolean included.
+    scenario whose triples _scattered rejected included.
 
-    The code matrix c is the scenario's own, or its triples scattered
-    (_scattered), so that a missing or duplicated pair leaves a NONE
-    behind.  c must be n-by-n uint8, and every cell a base case, CG on
-    the diagonal and the converse of its mirror elsewhere.  An atomic network is closed
-    exactly when its "fits inside or congruent" relation L = (c in {CG,
-    CGPP}) is a preorder.  L holds every loop, so it is one exactly when
-    _closure adds no arc to it; a closure that fills the matrix adds none
-    only to a full L.
+    The scenario's code matrix c must be n-by-n uint8, and every cell a
+    base case, CG on the diagonal and the converse of its mirror
+    elsewhere; a pair that triples missed or named twice is left NONE.
+    An atomic network is closed exactly when its "fits inside or
+    congruent" relation L = (c in {CG, CGPP}) is a preorder.  L holds
+    every loop, so it is one exactly when _closure adds no arc to it; a
+    closure that fills the matrix adds none only to a full L.
     """
     n = len(net)
-    c = _scattered(scenario.pairs, n) if scenario.codes is None else scenario.codes
+    c = scenario.codes
     if c is None or c.shape != (n, n) or c.dtype != np.uint8:
         return False
     if np.count_nonzero(_IS_BASIC.take(c)) != c.size or np.count_nonzero(c.diagonal() != 1):

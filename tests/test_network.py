@@ -486,12 +486,12 @@ def _admitted(chunk):
     return all(c >= " " or c == "\n" for c in chunk)
 
 
-def test_bulk_scan_admits_tab_line_feed_and_space_only():
+def test_bulk_scan_admits_line_feed_and_space_only():
     """Among the ASCII bytes below 33, the bulk scan admits exactly '\\n'
     and ' ', the line break and the token gap of the text mc4 writes;
     every other byte that str.isspace or str.splitlines knows, '\\t'
-    among them, is refused.  Bytes above ' ' are admitted and read as name
-    bytes."""
+    among them, is refused, so a chunk holding one goes to the grammar.
+    Bytes above ' ' are admitted and read as name bytes."""
     admitted = set()
     for c in range(128):
         chunk = f"a{chr(c)}b c"
@@ -936,11 +936,12 @@ def test_only_a_chunk_with_an_irregular_line_goes_through_the_grammar(
 
 
 @pytest.mark.parametrize("chunk", [network._CHUNK, 40], ids=["chunk-default", "chunk-40"])
-def test_blank_lines_in_a_gen_network_are_read_in_bulk(monkeypatch, chunk):
+def test_blank_lines_send_their_chunks_of_a_gen_network_to_the_grammar(monkeypatch, chunk):
     """Blank and whitespace-only lines fail the four-token test, so each
     chunk that holds one goes to the grammar, on exactly its own lines, and
     every other chunk is read in bulk.  With the '\\v' and '\\f' of the
-    blank lines made spaces, the chunks that hold a blank line still do."""
+    blank lines made spaces, the chunks that hold a blank line still go to
+    the grammar."""
     net = random_network(200, 0.5, M99_PALETTE, rng=5)
     lines = serialize_network(net).splitlines()
     rng = random.Random(5)
@@ -1035,7 +1036,7 @@ def test_a_control_byte_del_or_nel_reads_as_the_line_loop(monkeypatch, chunk, pl
 
 @pytest.mark.parametrize("gaps", ["tabs", "runs"])
 @pytest.mark.parametrize("chunk", [network._CHUNK, 40], ids=["chunk-default", "chunk-40"])
-def test_a_gen_network_separated_by_tabs_is_read_in_bulk(monkeypatch, chunk, gaps):
+def test_tabs_send_their_chunks_of_a_gen_network_to_the_grammar(monkeypatch, chunk, gaps):
     """Tabs, or runs of spaces and tabs, between the tokens of some lines
     of a gen network send each chunk that holds one of those lines to the
     grammar, on exactly its own lines; every other chunk is read in bulk."""

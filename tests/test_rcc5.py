@@ -109,9 +109,10 @@ def test_convert_scenario_maps_codes_pairwise():
         assert codes[(i, j)] == int(to_rcc5(Relation(code)))
     payload = rcc.as_json()
     assert set(payload) == {"pairs"}
-    # A scenario of triples converts to one of triples.
+    # A scenario read from triples holds the solver's matrix, so it
+    # converts to the same one.
     listed = convert_scenario(Scenario(out.scenario.pairs))
-    assert listed.codes is None and listed.pairs == rcc.pairs
+    assert listed == rcc and listed.codes.tobytes() == rcc.codes.tobytes()
 
 
 def test_five_base_cases_enumerated():

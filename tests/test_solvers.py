@@ -1358,6 +1358,26 @@ def test_is_valid_scenario_checks_a_code_matrix():
     assert is_valid_scenario(ConstraintNetwork(()), Scenario.of_codes(np.ones((0, 0), np.uint8)))
 
 
+def test_triples_are_read_into_the_solvers_code_matrix():
+    # Scenario(pairs) reads n(n-1)/2 triples into the matrix a solver
+    # returns, on n vertices; zero triples are one vertex.
+    rng = np.random.default_rng(41)
+    for n in range(1, 8):
+        out = solve_backtracking(planted_network(n, rng, M99)[0])
+        codes = out.scenario.codes
+        read = Scenario(out.scenario.pairs).codes
+        assert read.dtype == codes.dtype and read.tobytes() == codes.tobytes(), n
+    assert Scenario(()).codes.tolist() == [[1]]
+    assert is_valid_scenario(net_of(1, []), Scenario(()))
+    assert not is_valid_scenario(ConstraintNetwork(()), Scenario(()))
+    for count in (2, 4, 5, 7, 8, 9, 11):
+        listed = tuple((0, j + 1, 1) for j in range(count))
+        assert Scenario(listed).codes is None, count
+    rejected = Scenario(((0, 1),))
+    assert rejected.codes is None and rejected.pairs is None
+    assert repr(rejected) == "Scenario(pairs=None)"
+
+
 def test_is_valid_scenario_when_the_closure_fills_the_matrix():
     # All CG: L is full, a preorder.  The cycle v0 < v1 < v2 < v0 closes
     # L to all ones, so L is no preorder.
@@ -1367,17 +1387,17 @@ def test_is_valid_scenario_when_the_closure_fills_the_matrix():
     assert not is_valid_scenario(net_of(3, []), Scenario(((0, 1, 2), (0, 2, 4), (1, 2, 2))))
 
 
-def valid_by_intersection_and_closure(net, scenario):
-    """is_valid_scenario by its definition: pair checks, the scenario
-    intersected into a copy of net one pair at a time, then the closure
-    predicate over every triangle."""
+def valid_by_intersection_and_closure(net, listed):
+    """is_valid_scenario of the triples listed by its definition: pair
+    checks, each triple intersected into a copy of net one pair at a time,
+    then the closure predicate over every triangle."""
     n = len(net)
-    if len(scenario.pairs) != n * (n - 1) // 2:
+    if len(listed) != n * (n - 1) // 2:
         return False
-    if len({(i, j) for i, j, _ in scenario.pairs}) != len(scenario.pairs):
+    if len({(i, j) for i, j, _ in listed}) != len(listed):
         return False
     out = net.copy()
-    for i, j, code in scenario.pairs:
+    for i, j, code in listed:
         if not 0 <= i < j < n or cardinality(Relation(code)) != 1:
             return False
         out.add_constraint(out.names[i], out.names[j], Relation(code))
@@ -1423,7 +1443,7 @@ def test_is_valid_scenario_matches_its_definition():
             )
         for kind, listed in candidates.items():
             scenario = Scenario(tuple(listed))
-            expected = valid_by_intersection_and_closure(net, scenario)
+            expected = valid_by_intersection_and_closure(net, listed)
             assert is_valid_scenario(net, scenario) == expected, (kind, scenario)
             families.setdefault(kind.split("-", 1)[0], set()).add(expected)
     assert families == {"random": {False, True}, "dominance": {False, True}, "solver": {False, True}}

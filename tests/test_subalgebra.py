@@ -184,6 +184,44 @@ def test_np_hard_pattern_detection():
     assert not has_np_hard_pattern(M72)
 
 
+def test_the_classification_is_a_dichotomy():
+    # Every expressive subalgebra lies under one of the three maximal
+    # tractable ones or over the one minimal NP-hard one, N5, never both.
+    # has_np_hard_pattern is defined on any set, closed or not; on a closed
+    # one it is the single inclusion N5 <= c.
+    n5 = RelationSet(0xC141)
+    assert n5 == closure(RelationSet.of(EMPTY, CGPP | CGPPI, CNO, UNIVERSAL))
+    assert n5 == RelationSet.of(EMPTY, CGPP | CGPPI, CNO, CGPP | CGPPI | CNO, UNIVERSAL)
+    algebras = enumerate_expressive()
+    masks = [s.mask for s in algebras]
+
+    def below(a, b):
+        return a != b and a & ~b == 0
+
+    hard = [m for m, s in zip(masks, algebras) if classify(s).kind is Kind.NP_HARD]
+    easy = [m for m in masks if m not in hard]
+    assert (len(easy), len(hard)) == (82, 20)
+    assert {m for m in easy if not any(below(m, t) for t in easy)} == {
+        M72.mask,
+        M99.mask,
+        M81.mask,
+    }
+    assert [m for m in hard if not any(below(t, m) for t in hard)] == [n5.mask]
+    for s in algebras:
+        under = any(s <= top for top in (M72, M99, M81))
+        assert under != (n5 <= s), s
+    for mask in range(1 << 16):
+        c = closure(RelationSet(mask))
+        assert has_np_hard_pattern(c) == (n5 <= c), mask
+    covers = [
+        (a, b)
+        for a in masks
+        for b in masks
+        if below(a, b) and not any(below(a, c) and below(c, b) for c in masks)
+    ]
+    assert len(covers) == 258
+
+
 def test_classify_trivial_cores():
     cls = classify(RelationSet.of(CG | CNO))
     assert cls.kind is Kind.TRIVIAL_CORE and cls.core == CG
