@@ -22,6 +22,7 @@ import csv
 import json
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +39,10 @@ from .algebra import (
 )
 from .network import (
     _FORMAT,
+    _TABLES,
     ConstraintNetwork,
     _pair_rows,
+    _tails,
     _upper_triangle,
     parse_network,
     random_network,
@@ -164,26 +167,38 @@ def _scenario_lines(
     the right-hand side of the pair's code; each line ends in '\\n'."""
     heads = [indent + name + " " for name in names]
     codes = scenario.codes
-    rows = _pair_rows(heads, names, rhs, codes, _upper_triangle(len(codes)), "\n")
+    rows = _pair_rows(heads, _tails(names, rhs), codes, _upper_triangle(len(codes)), "\n")
     return "".join(row + "\n" for row in rows)
 
 
+@lru_cache(maxsize=_TABLES)
+def _index_rows(n: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The heads '[i, ' and tails 'j, code]' (_pair_rows) of the JSON
+    triples of a scenario on n vertices.  Built once per n, for the last
+    _TABLES values of n a process wrote; a tuple and a read-only array."""
+    index = [f"{k}, " for k in range(n)]
+    return tuple("[" + k for k in index), _tails(index, _JSON_CODES)
+
+
 def _scenario_json(scenario: Scenario) -> str:
-    """json.dumps(scenario.as_json()), written by rows from the code matrix."""
+    """json.dumps(scenario.as_json()), written by rows from the code matrix,
+    with the index rows (_index_rows) and upper triangle (_upper_triangle)
+    of its vertex count, each built once per n and read-only."""
     codes = scenario.codes
-    index = [f"{k}, " for k in range(len(codes))]
-    heads = ["[" + k for k in index]
-    rows = _pair_rows(heads, index, _JSON_CODES, codes, _upper_triangle(len(codes)), ", ")
+    heads, tails = _index_rows(len(codes))
+    rows = _pair_rows(heads, tails, codes, _upper_triangle(len(codes)), ", ")
     return '{"pairs": [' + ", ".join(rows) + "]}"
 
 
 def _verdict_json(out: SolveOutcome) -> str:
     """The --json verdict: json.dumps of consistent, solver and witness,
     with the scenario between the last two, as json.dumps of all four
-    would write them."""
+    would write them.  consistent and solver are written as literals: a
+    solver's name is plain ASCII, which JSON quotes as it is."""
+    consistent = "true" if out.consistent else "false"
     scenario = "null" if out.scenario is None else _scenario_json(out.scenario)
     return (
-        f'{{"consistent": {json.dumps(out.consistent)}, "solver": {json.dumps(out.solver)}, '
+        f'{{"consistent": {consistent}, "solver": "{out.solver}", '
         f'"scenario": {scenario}, "witness": {json.dumps(out.witness)}}}'
     )
 

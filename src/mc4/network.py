@@ -41,6 +41,7 @@ mc4.solvers.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress, repeat
 from typing import Iterable, Sequence
 
@@ -64,6 +65,10 @@ _POPCOUNT_ARR = np.array(_POPCOUNT, dtype=np.uint8)
 # Right-hand side of a serialized constraint line, by relation code.
 _FORMAT = np.array([" : " + format_relation(r) for r in _RELATIONS], dtype=object)
 _SPELLINGS = {format_relation(r): int(r) for r in _RELATIONS}
+# Entries kept by each per-process table keyed by a network's vertex names or
+# vertex count: enough for a few networks used in turn, and a bound on the
+# memory held (an n=2000 upper triangle is 4 MB).
+_TABLES = 4
 
 
 class ConstraintNetwork:
@@ -142,10 +147,17 @@ class ConstraintNetwork:
         return RelationSet(int(np.bitwise_or.reduce(bits)))
 
 
+@lru_cache(maxsize=_TABLES)
 def _upper_triangle(n: int) -> np.ndarray:
-    """Boolean n-by-n mask of the pairs (i, j) with i < j."""
+    """Boolean n-by-n mask of the pairs (i, j) with i < j.
+
+    Built once per n, for the last _TABLES values of n a process asked for,
+    and read-only, as every caller with that n shares it.
+    """
     k = np.arange(n, dtype=np.min_scalar_type(n))  # narrow indices compare faster
-    return k[:, None] < k
+    upper = k[:, None] < k
+    upper.setflags(write=False)
+    return upper
 
 
 def path_consistency(net: ConstraintNetwork) -> tuple[bool, ConstraintNetwork]:
@@ -295,7 +307,8 @@ class _ByteTable:
     last key, so a probe for a token that is not a key meets one.
 
     Strings that are not ASCII or longer than 31 characters are left out:
-    no token of a chunk read in bulk can equal them.
+    no token of a chunk read in bulk can equal them.  The table's arrays are
+    read-only once built, so one table can serve every parse that shares it.
     """
 
     __slots__ = ("words", "shift", "keys", "values")
@@ -327,6 +340,8 @@ class _ByteTable:
             table[at] = word
         self.values = np.empty(len(self.keys[0]), dtype)  # read at keys only
         self.values[at] = values
+        for table in (*self.keys, self.values):
+            table.setflags(write=False)
 
     def _hash(self, keys: list[np.ndarray]) -> np.ndarray:
         h = keys[0] * _HASH_MUL
@@ -371,6 +386,13 @@ _SPELLING_TABLE = _ByteTable(_SPELLINGS, np.uint8)
 _COLON = _KEY_FILL[0][1] | np.uint64(ord(":"))
 
 
+@lru_cache(maxsize=_TABLES)
+def _names_table(names: tuple[str, ...]) -> _ByteTable:
+    """The _ByteTable from each of names to its index, built once per names
+    tuple, for the last _TABLES tuples a process parsed; read-only."""
+    return _ByteTable(dict(zip(names, range(len(names)))), np.intp)
+
+
 def parse_network(text: str) -> ConstraintNetwork:
     """Parse the text format documented in the module docstring.
 
@@ -381,9 +403,9 @@ def parse_network(text: str) -> ConstraintNetwork:
     once.  A CRLF file pays for that copy: it parses in about 1.7x the time.
 
     _parse_header reads the lines up to 'nodes:' once, one at a time.  The
-    names table is built from the network it declares, and the rest of the
-    text is read in chunks of whole lines (_chunk_end) that begin after
-    that line.
+    names table is that of the names it declares (_names_table, built once
+    per names tuple), and the rest of the text is read in chunks of whole
+    lines (_chunk_end) that begin after that line.
 
     One rule decides how a chunk is read: in bulk when it is in the form
     serialize_network writes, ASCII, no byte below ' ' but '\\n', and
@@ -431,7 +453,7 @@ def parse_network(text: str) -> ConstraintNetwork:
         if "\r" in text:
             text = text.replace("\r", "\n")
     net, pos, lineno = _parse_header(text)  # lineno: the next chunk's first line
-    names = _ByteTable(net._index, np.intp)
+    names = _names_table(net.names)
     # The grammar's relation spellings to codes: the canonical ones, and any
     # other the file uses, parsed once.
     spellings = dict(_SPELLINGS)
@@ -641,7 +663,9 @@ def serialize_network(net: ConstraintNetwork) -> str:
 
     Pairs are emitted in declaration order of their endpoints; ALL labels
     are omitted as they say nothing.  Round-trips through parse_network.
-    _pair_rows writes the lines.
+    _pair_rows writes the lines, from the rows table _serial_rows builds
+    once per names tuple and the upper triangle _upper_triangle builds once
+    per vertex count; both are read-only.
 
     Raises:
         ValueError: on a network with no vertices, on a contradicted
@@ -653,32 +677,50 @@ def serialize_network(net: ConstraintNetwork) -> str:
     if net.self_contradiction is not None:
         raise ValueError("network with a self-contradictory loop cannot be serialized")
     names = net.names
-    for name in names:
-        if name.split() != [name] or ":" in name or "#" in name:
-            raise ValueError(f"vertex name {name!r} cannot be serialized")
+    heads, tails = _serial_rows(names)
     m = net._m
     kept = (m != 15) & _upper_triangle(len(names))
-    rows = _pair_rows([name + " " for name in names], names, _FORMAT, m, kept, "\n")
+    rows = _pair_rows(heads, tails, m, kept, "\n")
     return "\n".join(["nodes: " + " ".join(names), *rows]) + "\n"
 
 
+@lru_cache(maxsize=_TABLES)
+def _serial_rows(names: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The heads and tails (_pair_rows) of serialize_network's lines on
+    names: 'NAME ' and 'NAME : RELATION'.  Built once per names tuple, for
+    the last _TABLES tuples a process wrote, after the check that the parser
+    can read each name back; a tuple and a read-only array.
+
+    Raises:
+        ValueError: on a name that is empty or holds whitespace, ':' or '#'.
+    """
+    for name in names:
+        if name.split() != [name] or ":" in name or "#" in name:
+            raise ValueError(f"vertex name {name!r} cannot be serialized")
+    return tuple(name + " " for name in names), _tails(names, _FORMAT)
+
+
+def _tails(names: Sequence[str], rhs: np.ndarray) -> np.ndarray:
+    """The tails table of _pair_rows: the read-only len(names)-by-len(rhs)
+    object array of the strings names[j] + rhs[code], at (j, code).  rhs is
+    an object array of strings, one per code."""
+    tails = np.array(names, dtype=object)[:, None] + rhs
+    tails.setflags(write=False)
+    return tails
+
+
 def _pair_rows(
-    heads: Sequence[str],
-    names: Sequence[str],
-    rhs: np.ndarray,
-    codes: np.ndarray,
-    kept: np.ndarray,
-    sep: str,
+    heads: Sequence[str], tails: np.ndarray, codes: np.ndarray, kept: np.ndarray, sep: str
 ) -> list[str]:
     """The pairs (i, j) that the n-by-n mask kept marks, in row-major
-    order, each written as heads[i] + names[j] + rhs[codes[i, j]]: one
-    string per row that holds a kept pair, its pairs joined by sep.  rhs
-    is an object array of strings that every code indexes.  Every pair
-    list mc4 prints is written here; the caller joins the rows, so a
-    large text is copied once more only where the caller adds to it.
+    order, each written as heads[i] + tails[j, codes[i, j]]: one string per
+    row that holds a kept pair, its pairs joined by sep.  tails is a
+    table _tails builds; the writers build theirs once per key, names or n,
+    and keep it read-only.  Every pair list mc4 prints is written here; the
+    caller joins the rows, so a large text is copied once more only where
+    the caller adds to it.
 
-    An object array holds the n * len(rhs) tails, names[j] + rhs[code] at
-    len(rhs) * j + code; one take gathers the tail of every kept pair in
+    One take on the flattened tails gathers the tail of every kept pair in
     row-major order, and one tolist hands them to Python.  Row i is then
     written as one string, its tails joined behind heads[i] with sep, so
     Python's loop runs once per row, and no Python int is made for a
@@ -686,8 +728,7 @@ def _pair_rows(
     wrappers (np.flatnonzero, np.count_nonzero, np.cumsum), which cost
     most on a small scenario.
     """
-    n, width = len(names), len(rhs)
-    tails = (np.array(names, dtype=object)[:, None] + rhs).ravel()
+    n, width = tails.shape
     flat = kept.ravel().nonzero()[0]
     pair_tails = tails.take(flat % n * width + codes.ravel().take(flat)).tolist()
     rows = []

@@ -119,7 +119,8 @@ class Scenario:
     (i, j, code) triples, as a JSON verdict lists them, with _scattered;
     codes is None when they are no scenario's on any n.  pairs, the triples
     with i < j in row-major order, is read from the matrix on each call,
-    and is None when codes is.
+    and is None when codes is.  Two scenarios are equal when their code
+    matrices are, shape and entries, or when both are None.
 
     The codes are MC-4 base cases, or RCC-5 ones from
     mc4.rcc5.convert_scenario; is_valid_scenario checks MC-4 scenarios.
@@ -144,10 +145,15 @@ class Scenario:
         return tuple(zip(i.tolist(), j.tolist(), self.codes[i, j].tolist()))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Scenario) and self.pairs == other.pairs
+        if not isinstance(other, Scenario):
+            return False
+        if self.codes is None or other.codes is None:
+            return self.codes is other.codes
+        return np.array_equal(self.codes, other.codes)
 
     def __hash__(self) -> int:
-        return hash(self.pairs)
+        c = self.codes
+        return hash(None if c is None else (c.shape, c.astype(np.uint8, copy=False).tobytes()))
 
     def __repr__(self) -> str:
         return f"Scenario(pairs={self.pairs!r})"

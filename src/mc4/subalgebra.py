@@ -209,6 +209,7 @@ class TractabilityClass:
         return self.kind.value
 
 
+@lru_cache(maxsize=256)
 def classify(s: RelationSet) -> TractabilityClass:
     """Cheapest decision procedure covering the closure of s.
 
@@ -216,6 +217,10 @@ def classify(s: RelationSet) -> TractabilityClass:
     precedence order: the trivial-core catalogs in table order, M99, M81,
     then the NP-hard pattern; anything else is UNCLASSIFIED (the
     enumeration proves that case never arises).
+
+    The class is computed once per profile mask (a RelationSet hashes and
+    compares by its mask), for the last 256 masks a process classified,
+    and shared: a TractabilityClass is frozen, so it is read-only.
     """
     c = RelationSet(_closure_mask(s.mask | _EXPRESSIVE_MASK))
     for core, catalog in _TRIVIAL_CORES.items():

@@ -1378,6 +1378,26 @@ def test_triples_are_read_into_the_solvers_code_matrix():
     assert repr(rejected) == "Scenario(pairs=None)"
 
 
+def test_scenarios_compare_and_hash_by_their_code_matrices():
+    # Triples, a solver's matrix and its int64 copy are one scenario; any
+    # two rejected triple lists are another, equal to no matrix.
+    net, _ = planted_network(6, np.random.default_rng(5), M99)
+    solved = solve_backtracking(net).scenario
+    listed = Scenario(solved.pairs)
+    wide = Scenario.of_codes(solved.codes.astype(np.int64))
+    for same in (listed, wide):
+        assert same == solved and solved == same and hash(same) == hash(solved)
+    rejected, ragged = Scenario(((0, 1),)), Scenario(((0, 1, 2), (0, 2)))
+    assert rejected == ragged and hash(rejected) == hash(ragged)
+    assert rejected != solved and solved != rejected
+    assert len({solved, listed, wide, rejected, ragged}) == 2
+    other = solved.codes.copy()
+    other[0, 1] = 0
+    assert Scenario.of_codes(other) != solved
+    assert Scenario.of_codes(solved.codes[:3, :3]) != solved
+    assert solved != solved.pairs
+
+
 def test_is_valid_scenario_when_the_closure_fills_the_matrix():
     # All CG: L is full, a preorder.  The cycle v0 < v1 < v2 < v0 closes
     # L to all ones, so L is no preorder.
